@@ -15,12 +15,8 @@ from .booterr import (
     budget_check,
     empirical_quantile,
     extrapolate,
-    multinomial_weight_sample,
-    multiplier_bootstrap_sample,
     multiplier_error,
-    nonparametric_bootstrap_sample,
     plan_sketch_size,
-    resample_error,
 )
 from .datagen import (
     RankMode,
@@ -33,7 +29,6 @@ from .datagen import (
 )
 from .matcore import (
     DenseMatrix,
-    PowerIterationError,
     RankDeficiencyError,
     ZeroMatrixError,
     frobenius_norm,
@@ -64,7 +59,6 @@ __all__ = [
     "BootstrapScheme",
     "DenseMatrix",
     "LengthSamplingError",
-    "PowerIterationError",
     "QuantileCurve",
     "QuantileEstimate",
     "RankDeficiencyError",
@@ -88,15 +82,11 @@ __all__ = [
     "linf_norm",
     "matmul_t",
     "mc_quantile_curve",
-    "multinomial_weight_sample",
-    "multiplier_bootstrap_sample",
     "multiplier_error",
     "mvt_rows",
-    "nonparametric_bootstrap_sample",
     "normalize_gram_linf",
     "plan_sketch_size",
     "reduced_qr",
-    "resample_error",
     "row_sample_sketch",
     "singular_value_profile",
     "spectral_norm",

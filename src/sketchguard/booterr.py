@@ -1,15 +1,14 @@
 """Bootstrap estimation of the sketching-error quantile, with extrapolation.
 
 The error of a sketched product fluctuates with the draw of S. Working only
-from the sketches, the samplers here generate surrogate draws of that error:
+from the sketches, one kernel generates surrogate draws of that error: it
+weights the t row contributions by a vector xi and evaluates
+max-abs of (xibar * (A~^T B~) - A~^T diag(xi) B~). The two schemes differ
+only in the weights:
 
-* multiplier scheme: perturb the t row contributions with i.i.d. standard
-  normal weights xi and evaluate
-  max-abs of (xibar * (A~^T B~) - A~^T diag(xi) B~);
-* non-parametric scheme: resample the sketch rows with replacement, jointly
-  for both matrices, and compare the resampled product to the original;
-* multinomial weights: the algebraic twin of row resampling, obtained by
-  feeding counts-minus-one into the multiplier form.
+* multiplier scheme: i.i.d. standard normal weights;
+* non-parametric scheme: the counts of t rows resampled with replacement,
+  minus one, which reproduces the error of the jointly resampled product.
 
 The (1 - alpha) interpolated quantile of B such samples estimates the
 tightest error bound holding with probability 1 - alpha at the current
@@ -34,10 +33,6 @@ __all__ = [
     "BootstrapConfig",
     "QuantileEstimate",
     "multiplier_error",
-    "multiplier_bootstrap_sample",
-    "resample_error",
-    "nonparametric_bootstrap_sample",
-    "multinomial_weight_sample",
     "empirical_quantile",
     "bootstrap_quantile",
     "extrapolate",
@@ -108,40 +103,6 @@ def multiplier_error(pair: SketchPair, xi) -> float:
     return float(np.abs(m).max())
 
 
-def multiplier_bootstrap_sample(pair: SketchPair, rng: np.random.Generator) -> float:
-    """One multiplier-scheme sample: i.i.d. N(0, 1) weights."""
-    return multiplier_error(pair, rng.standard_normal(pair.t))
-
-
-def resample_error(pair: SketchPair, indices) -> float:
-    """Error between the row-resampled product and the original product."""
-    idx = np.asarray(indices)
-    t = pair.t
-    if idx.shape != (t,) or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"indices must be {t} integers")
-    if idx.min() < 0 or idx.max() >= t:
-        raise ValueError("resample indices out of range")
-    resampled = pair.a_sketch.array[idx].T @ pair.b_sketch.array[idx]
-    return float(np.abs(resampled - pair.sketched_product).max())
-
-
-def nonparametric_bootstrap_sample(pair: SketchPair, rng: np.random.Generator) -> float:
-    """One non-parametric sample: t row indices drawn with replacement."""
-    return resample_error(pair, rng.integers(0, pair.t, pair.t))
-
-
-def multinomial_weight_sample(pair: SketchPair, rng: np.random.Generator) -> float:
-    """One sample with multinomial counts minus one as multiplier weights.
-
-    The counts come from tossing t balls into t equally likely bins, so the
-    weights are centered with variance 1 - 1/t; driven by the same index
-    draws this reproduces the non-parametric sample exactly (up to rounding).
-    """
-    t = pair.t
-    counts = rng.multinomial(t, np.full(t, 1.0 / t))
-    return multiplier_error(pair, counts - 1.0)
-
-
 def empirical_quantile(samples, p: float) -> float:
     """Interpolated sample quantile at level p.
 
@@ -164,20 +125,24 @@ def empirical_quantile(samples, p: float) -> float:
     return float(vals[lo] + frac * (vals[hi] - vals[lo]))
 
 
-_SAMPLERS = {
-    BootstrapScheme.MULTIPLIER: multiplier_bootstrap_sample,
-    BootstrapScheme.NONPARAMETRIC: nonparametric_bootstrap_sample,
-}
+def _weights(scheme: BootstrapScheme, rng: np.random.Generator, t: int) -> np.ndarray:
+    """One replicate's weights: standard normals, or resampling counts minus one."""
+    if scheme is BootstrapScheme.MULTIPLIER:
+        return rng.standard_normal(t)
+    return np.bincount(rng.integers(0, t, t), minlength=t) - 1
 
 
 def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstimate:
     """Run B replicates of the configured scheme and take the (1 - alpha) quantile.
 
-    Replicate b draws from stream (cfg.seed, b), so runs are prefix-stable:
-    increasing the replicate count reproduces the earlier samples.
+    Replicate b draws its weight vector from stream (cfg.seed, b), so runs
+    are prefix-stable: increasing the replicate count reproduces the earlier
+    samples.
     """
-    sampler = _SAMPLERS[cfg.scheme]
-    samples = tuple(sampler(pair, substream(cfg.seed, b)) for b in range(cfg.replicates))
+    samples = tuple(
+        multiplier_error(pair, _weights(cfg.scheme, substream(cfg.seed, b), pair.t))
+        for b in range(cfg.replicates)
+    )
     value = empirical_quantile(samples, 1.0 - cfg.alpha)
     return QuantileEstimate(t0=pair.t, alpha=cfg.alpha, value=value, samples=samples)
 
@@ -197,13 +162,23 @@ def plan_sketch_size(est: QuantileEstimate, epsilon: float) -> int:
     """Smallest t whose extrapolated quantile is at most epsilon.
 
     Ceiling of t0 * (value / epsilon)^2, floored at 1. A zero estimate means
-    any sketch size passes, so 1 is returned.
+    any sketch size passes, so 1 is returned. Raises ValueError when that
+    size is not a finite number.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if est.value == 0.0:
         return 1
-    return max(1, math.ceil(est.t0 * (est.value / epsilon) ** 2))
+    try:
+        size = est.t0 * (est.value / epsilon) ** 2
+    except OverflowError:
+        size = math.inf
+    if not math.isfinite(size):
+        raise ValueError(
+            f"t0 * (value / epsilon)^2 is not finite for t0={est.t0}, "
+            f"value={est.value!r}, epsilon={epsilon!r}"
+        )
+    return max(1, math.ceil(size))
 
 
 def budget_check(b_samples: int, t: int, t0: int, n: int, d: int) -> float:

@@ -18,7 +18,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +41,7 @@ from .datagen import (
     normalize_gram_linf,
     synth_matrix,
 )
-from .matcore import (
-    DenseMatrix,
-    PowerIterationError,
-    RankDeficiencyError,
-    ZeroMatrixError,
-)
+from .matcore import DenseMatrix, RankDeficiencyError, ZeroMatrixError
 from .oracle import QuantileCurve, mc_quantile_curve
 from .parallel import run_indexed
 from .rng import check_seed, derive_seed
@@ -101,15 +96,13 @@ def default_t_grid(d: int) -> tuple[int, ...]:
 
 @dataclass
 class ExperimentSpec:
-    """One full experiment: data source, sketch kind, and all protocol knobs.
+    """One full experiment: data matrix, sketch kind, and all protocol knobs.
 
-    ``data_source`` is a prepared DenseMatrix, a SynthProfile, or a path to a
-    LIBSVM file (normalized on load unless ``normalize`` is off). ``t0``
-    defaults to d/2 and ``t_grid`` to eight log-spaced points from d/2 to
-    10d once the data is known.
+    ``t0`` defaults to d/2 and ``t_grid`` to eight log-spaced points from d/2
+    to 10d.
     """
 
-    data_source: DenseMatrix | SynthProfile | str | Path
+    data_source: DenseMatrix
     kind: SketchKind
     t0: int | None = None
     t_grid: tuple[int, ...] | None = None
@@ -120,15 +113,13 @@ class ExperimentSpec:
     estimator_reps: int = 200
     seed: int = 0
     out: str | Path | None = None
-    normalize: bool = True
 
     def validate(self) -> None:
-        try:
-            SketchKind(self.kind)
-            BootstrapScheme(self.scheme)
-            check_seed(self.seed)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from None
+        if not isinstance(self.data_source, DenseMatrix):
+            raise SpecError("data_source must be a DenseMatrix")
+        SketchKind(self.kind)
+        BootstrapScheme(self.scheme)
+        check_seed(self.seed)
         if not 0.0 < self.alpha < 0.5:
             raise SpecError(f"alpha must lie in (0, 1/2), got {self.alpha}")
         if self.boot_samples < 2:
@@ -153,17 +144,14 @@ class ExperimentResult:
     est_mean: tuple[float, ...]
     est_lo: tuple[float, ...]
     est_hi: tuple[float, ...]
-    rows: list[tuple] = field(default_factory=list)
 
-
-def _resolve_source(spec: ExperimentSpec) -> DenseMatrix:
-    src = spec.data_source
-    if isinstance(src, DenseMatrix):
-        return src
-    if isinstance(src, SynthProfile):
-        return synth_matrix(src)
-    matrix = libsvm_load(src)
-    return normalize_gram_linf(matrix) if spec.normalize else matrix
+    @property
+    def rows(self) -> list[tuple]:
+        """One (t, oracle_q, oracle_lo, oracle_hi, est_mean, est_lo, est_hi) row per t."""
+        c = self.curve
+        return list(zip(
+            c.ts, c.values, c.band_low, c.band_high, self.est_mean, self.est_lo, self.est_hi
+        ))
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -176,7 +164,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     mean extrapolated estimate and its 10%/90% percentiles.
     """
     spec.validate()
-    matrix = _resolve_source(spec)
+    matrix = spec.data_source
     d = matrix.cols
     t0 = spec.t0 if spec.t0 is not None else max(1, d // 2)
     grid = tuple(sorted(set(spec.t_grid))) if spec.t_grid else default_t_grid(d)
@@ -194,7 +182,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     )
     LOG.info("oracle curve done (%d reps per t)", spec.oracle_reps)
 
-    def one_estimate(r: int) -> float:
+    def one_estimate(r: int) -> QuantileEstimate:
         pair = apply_spec(
             matrix, matrix,
             SketchSpec(spec.kind, t0, derive_seed(spec.seed, _TAG_EST_SKETCH, r)),
@@ -203,39 +191,38 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             spec.scheme, spec.boot_samples, spec.alpha,
             derive_seed(spec.seed, _TAG_EST_BOOT, r),
         )
-        return bootstrap_quantile(pair, cfg).value
+        return bootstrap_quantile(pair, cfg)
 
-    base_estimates = np.asarray(run_indexed(one_estimate, spec.estimator_reps))
+    estimates = run_indexed(one_estimate, spec.estimator_reps)
     LOG.info("estimator reps done (%d)", spec.estimator_reps)
 
-    means, lows, highs, rows = [], [], [], []
-    for (t, oracle_q), o_lo, o_hi in zip(curve.points, curve.band_low, curve.band_high):
-        ext = math.sqrt(t0 / t) * base_estimates
-        e_mean = float(ext.mean())
-        e_lo = empirical_quantile(ext, 0.1) if ext.size > 1 else float(ext[0])
-        e_hi = empirical_quantile(ext, 0.9) if ext.size > 1 else float(ext[0])
-        means.append(e_mean)
-        lows.append(e_lo)
-        highs.append(e_hi)
-        rows.append((t, oracle_q, o_lo, o_hi, e_mean, e_lo, e_hi))
+    extrapolated = [np.array([extrapolate(e, t) for e in estimates]) for t in curve.ts]
     result = ExperimentResult(
         t0=t0, curve=curve,
-        est_mean=tuple(means), est_lo=tuple(lows), est_hi=tuple(highs),
-        rows=rows,
+        est_mean=tuple(float(ext.mean()) for ext in extrapolated),
+        est_lo=tuple(empirical_quantile(ext, 0.1) for ext in extrapolated),
+        est_hi=tuple(empirical_quantile(ext, 0.9) for ext in extrapolated),
     )
     if spec.out is not None:
-        write_curve_csv(spec.out, rows)
+        write_curve_csv(spec.out, result.rows)
         LOG.info("wrote %s", spec.out)
     return result
 
 
-def write_curve_csv(path, rows) -> None:
-    """Write curve rows under the stable header, floats at 9 significant digits."""
+def write_curve_csv(path, rows, header: str = CSV_HEADER) -> None:
+    """Write (t, value...) rows under a header, floats at 9 significant digits.
+
+    Writes to standard output when ``path`` is None.
+    """
+    lines = [header]
+    for t, *values in rows:
+        lines.append(",".join([str(int(t))] + [f"{v:.9g}" for v in values]))
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            t, *values = row
-            fh.write(",".join([str(int(t))] + [f"{v:.9g}" for v in values]) + "\n")
+        fh.write(text)
 
 
 def save_pair(path, pair: SketchPair) -> None:
@@ -266,28 +253,27 @@ def load_pair(path) -> SketchPair:
 # ---------------------------------------------------------------------------
 # argument handling
 
-def _fail(message: str) -> "SpecError":
-    return SpecError(message)
-
-
 def _to_int(s: str, name: str) -> int:
     try:
         return int(s)
     except ValueError:
-        raise _fail(f"{name} must be an integer, got {s!r}") from None
+        raise SpecError(f"{name} must be an integer, got {s!r}") from None
 
 
 def _to_float(s: str, name: str) -> float:
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
-        raise _fail(f"{name} must be a number, got {s!r}") from None
+        raise SpecError(f"{name} must be a number, got {s!r}") from None
+    if not math.isfinite(value):
+        raise SpecError(f"{name} must be a finite number, got {s!r}")
+    return value
 
 
 def _to_grid(s: str, name: str = "t-grid") -> tuple[int, ...]:
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
-        raise _fail(f"{name} must be a comma-separated list of integers")
+        raise SpecError(f"{name} must be a comma-separated list of integers")
     return tuple(_to_int(p, name) for p in parts)
 
 
@@ -296,7 +282,7 @@ def _to_kind(s: str, name: str = "kind") -> SketchKind:
         return SketchKind(s)
     except ValueError:
         choices = ", ".join(k.value for k in SketchKind)
-        raise _fail(f"{name} must be one of: {choices}; got {s!r}") from None
+        raise SpecError(f"{name} must be one of: {choices}; got {s!r}") from None
 
 
 def _to_scheme(s: str, name: str = "scheme") -> BootstrapScheme:
@@ -304,7 +290,7 @@ def _to_scheme(s: str, name: str = "scheme") -> BootstrapScheme:
         return BootstrapScheme(s)
     except ValueError:
         choices = ", ".join(k.value for k in BootstrapScheme)
-        raise _fail(f"{name} must be one of: {choices}; got {s!r}") from None
+        raise SpecError(f"{name} must be one of: {choices}; got {s!r}") from None
 
 
 def _to_bool(s: str, name: str) -> bool:
@@ -313,7 +299,7 @@ def _to_bool(s: str, name: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise _fail(f"{name} must be a boolean, got {s!r}")
+    raise SpecError(f"{name} must be a boolean, got {s!r}")
 
 
 def load_config(path) -> dict[str, str]:
@@ -326,7 +312,7 @@ def load_config(path) -> dict[str, str]:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise _fail(f"{path}: line {line_no}: expected key=value")
+                raise SpecError(f"{path}: line {line_no}: expected key=value")
             out[key.strip().replace("-", "_")] = value.strip()
     return out
 
@@ -351,7 +337,7 @@ class _Options:
     def require(self, name: str, convert=None):
         value = self.get(name, convert)
         if value is None:
-            raise _fail(f"missing required option --{name}")
+            raise SpecError(f"missing required option --{name}")
         return value
 
 
@@ -365,7 +351,7 @@ def _resolve_cli_matrix(opt: _Options) -> DenseMatrix:
     data = opt.get("data")
     synth = opt.get("synth")
     if (data is None) == (synth is None):
-        raise _fail("exactly one of --data and --synth is required")
+        raise SpecError("exactly one of --data and --synth is required")
     if data is not None:
         matrix = libsvm_load(data)
         if _want_normalize(opt):
@@ -373,63 +359,50 @@ def _resolve_cli_matrix(opt: _Options) -> DenseMatrix:
         return matrix
     parts = [p.strip() for p in str(synth).split(",")]
     if len(parts) != 3:
-        raise _fail("--synth takes n,d,low|high")
+        raise SpecError("--synth takes n,d,low|high")
     n, d = _to_int(parts[0], "synth n"), _to_int(parts[1], "synth d")
     try:
         mode = RankMode(parts[2])
     except ValueError:
-        raise _fail(f"synth mode must be low or high, got {parts[2]!r}") from None
+        raise SpecError(f"synth mode must be low or high, got {parts[2]!r}") from None
     seed = opt.get("seed", _to_int, 0)
-    try:
-        profile = SynthProfile(n, d, mode, derive_seed(seed, _TAG_DATA))
-    except ValueError as exc:
-        raise _fail(str(exc)) from None
-    return synth_matrix(profile)
+    return synth_matrix(SynthProfile(n, d, mode, derive_seed(seed, _TAG_DATA)))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_sketch(args: argparse.Namespace) -> int:
-    opt = _Options(args)
+def _sketch_pair(opt: _Options) -> SketchPair:
+    """Sketch the --data or --synth matrix against itself as the options say."""
     matrix = _resolve_cli_matrix(opt)
     t0 = opt.get("t0", _to_int, max(1, matrix.cols // 2))
     kind = opt.require("kind", _to_kind)
     seed = opt.get("seed", _to_int, 0)
+    return apply_spec(matrix, matrix, SketchSpec(kind, t0, seed))
+
+
+def cmd_sketch(args: argparse.Namespace) -> int:
+    opt = _Options(args)
     out = opt.require("out")
-    try:
-        spec = SketchSpec(kind, t0, seed)
-    except ValueError as exc:
-        raise _fail(str(exc)) from None
-    pair = apply_spec(matrix, matrix, spec)
+    pair = _sketch_pair(opt)
     save_pair(out, pair)
-    print(f"wrote {out}: kind={spec.kind.value} t={spec.t} from {matrix.rows}x{matrix.cols}")
+    print(
+        f"wrote {out}: kind={pair.spec.kind.value} t={pair.t} "
+        f"from {pair.source_rows}x{pair.a_sketch.cols}"
+    )
     return EXIT_OK
-
-
-def _bootstrap_config(opt: _Options) -> tuple[BootstrapScheme, int, float, int]:
-    scheme = opt.get("scheme", _to_scheme, BootstrapScheme.MULTIPLIER)
-    b_samples = opt.get("boot-samples", _to_int, 20)
-    alpha = opt.get("alpha", _to_float, 0.01)
-    seed = opt.get("seed", _to_int, 0)
-    return scheme, b_samples, alpha, seed
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     opt = _Options(args)
     pair_path = opt.get("pair")
-    if pair_path is not None:
-        pair = load_pair(pair_path)
-    else:
-        matrix = _resolve_cli_matrix(opt)
-        t0 = opt.get("t0", _to_int, max(1, matrix.cols // 2))
-        kind = opt.require("kind", _to_kind)
-        pair = apply_spec(matrix, matrix, SketchSpec(kind, t0, opt.get("seed", _to_int, 0)))
-    scheme, b_samples, alpha, seed = _bootstrap_config(opt)
-    try:
-        cfg = BootstrapConfig(scheme, b_samples, alpha, seed)
-    except ValueError as exc:
-        raise _fail(str(exc)) from None
+    pair = load_pair(pair_path) if pair_path is not None else _sketch_pair(opt)
+    cfg = BootstrapConfig(
+        opt.get("scheme", _to_scheme, BootstrapScheme.MULTIPLIER),
+        opt.get("boot-samples", _to_int, 20),
+        opt.get("alpha", _to_float, 0.01),
+        opt.get("seed", _to_int, 0),
+    )
     est = bootstrap_quantile(pair, cfg)
     print(f"q_hat({est.t0}) = {est.value:.9g}")
     grid = opt.get("t-grid", _to_grid)
@@ -439,10 +412,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
             print(f"q_ext({t}) = {value:.9g}")
         out = opt.get("out")
         if out:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write("t,q_ext\n")
-                for t, value in rows:
-                    fh.write(f"{t},{value:.9g}\n")
+            write_curve_csv(out, rows, "t,q_ext")
     return EXIT_OK
 
 
@@ -453,12 +423,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     epsilon = opt.require("epsilon", _to_float)
     alpha = opt.get("alpha", _to_float, 0.01)
     if qhat < 0:
-        raise _fail("qhat must be nonnegative")
-    try:
-        est = QuantileEstimate(t0=t0, alpha=alpha, value=qhat, samples=(qhat,))
-        t = plan_sketch_size(est, epsilon)
-    except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise SpecError("qhat must be nonnegative")
+    est = QuantileEstimate(t0=t0, alpha=alpha, value=qhat, samples=(qhat,))
+    t = plan_sketch_size(est, epsilon)
     print(f"t = {t}")
     n = opt.get("n", _to_int)
     d = opt.get("d", _to_int)
@@ -480,42 +447,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     curve = mc_quantile_curve(
         matrix, matrix, kind, grid, reps, alpha, derive_seed(seed, _TAG_ORACLE)
     )
-    lines = ["t,oracle_q,oracle_lo,oracle_hi"]
-    for (t, value), lo, hi in zip(curve.points, curve.band_low, curve.band_high):
-        lines.append(f"{t},{value:.9g},{lo:.9g},{hi:.9g}")
-    out = opt.get("out")
+    rows = zip(curve.ts, curve.values, curve.band_low, curve.band_high)
+    out = opt.get("out") or None
+    write_curve_csv(out, rows, "t,oracle_q,oracle_lo,oracle_hi")
     if out:
-        Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {out}")
-    else:
-        print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     opt = _Options(args)
-    data = opt.get("data")
-    synth = opt.get("synth")
-    if (data is None) == (synth is None):
-        raise _fail("exactly one of --data and --synth is required")
-    if synth is not None:
-        parts = [p.strip() for p in str(synth).split(",")]
-        if len(parts) != 3:
-            raise _fail("--synth takes n,d,low|high")
-        seed = opt.get("seed", _to_int, 0)
-        try:
-            source = SynthProfile(
-                _to_int(parts[0], "synth n"),
-                _to_int(parts[1], "synth d"),
-                RankMode(parts[2]),
-                derive_seed(seed, _TAG_DATA),
-            )
-        except ValueError as exc:
-            raise _fail(str(exc)) from None
-    else:
-        source = data
+    out = opt.require("out")
     spec = ExperimentSpec(
-        data_source=source,
+        data_source=_resolve_cli_matrix(opt),
         kind=opt.require("kind", _to_kind),
         t0=opt.get("t0", _to_int),
         t_grid=opt.get("t-grid", _to_grid),
@@ -525,8 +469,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         oracle_reps=opt.get("oracle-reps", _to_int, 400),
         estimator_reps=opt.get("reps", _to_int, 200),
         seed=opt.get("seed", _to_int, 0),
-        out=opt.require("out"),
-        normalize=_want_normalize(opt),
+        out=out,
     )
     result = run_experiment(spec)
     print(f"wrote {spec.out}: {len(result.rows)} grid points, t0={result.t0}")
@@ -629,12 +572,7 @@ def main(argv=None) -> int:
     except (LibsvmParseError, OSError, UnicodeDecodeError) as exc:
         LOG.error("data error: %s", exc)
         return EXIT_DATA
-    except (
-        PowerIterationError,
-        RankDeficiencyError,
-        ZeroMatrixError,
-        LengthSamplingError,
-    ) as exc:
+    except (RankDeficiencyError, ZeroMatrixError, LengthSamplingError) as exc:
         LOG.error("numerical failure: %s", exc)
         return EXIT_NUMERIC
     except ValueError as exc:

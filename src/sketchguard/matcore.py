@@ -6,15 +6,10 @@ share across threads.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .rng import substream
 
 __all__ = [
     "DenseMatrix",
-    "PowerIterationError",
     "RankDeficiencyError",
     "ZeroMatrixError",
     "matmul_t",
@@ -24,15 +19,6 @@ __all__ = [
     "stable_rank",
     "reduced_qr",
 ]
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last estimate and iterate."""
-
-    def __init__(self, message: str, estimate: float, iterate: np.ndarray):
-        super().__init__(message)
-        self.estimate = estimate
-        self.iterate = iterate
 
 
 class RankDeficiencyError(ValueError):
@@ -122,70 +108,17 @@ def frobenius_norm(c: DenseMatrix) -> float:
     return float(np.linalg.norm(c.array))
 
 
-def spectral_norm(c: DenseMatrix, tol: float = 1e-9, max_iter: int = 5000) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
-
-    Deterministic: iteration starts from the normalized all-ones vector and,
-    should that land in the null space, restarts from a fixed pseudorandom
-    vector. Converges when the estimate changes by at most ``tol`` relative
-    on two consecutive iterations.
-
-    Raises PowerIterationError after ``max_iter`` iterations without
-    convergence; the exception carries the last estimate and iterate.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    a = c.array
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    n = a.shape[1]
-    if not a.any():
-        return 0.0
-    v = np.full(n, 1.0 / math.sqrt(n))
-    estimate = 0.0
-    stable = 0
-    restarts = 0
-    for _ in range(max_iter):
-        w = a @ v
-        lam = float(w @ w)  # = v^T (A^T A) v since v is unit-norm
-        if lam == 0.0:
-            restarts += 1
-            if restarts > 3:
-                raise PowerIterationError(
-                    "power iteration start vectors all annihilated", estimate, v
-                )
-            v = substream(0x5EED, restarts).standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        new_estimate = math.sqrt(lam)
-        if estimate > 0.0 and abs(new_estimate - estimate) <= tol * new_estimate:
-            stable += 1
-            if stable >= 2:
-                return new_estimate
-        else:
-            stable = 0
-        estimate = new_estimate
-        v = a.T @ w
-        v /= np.linalg.norm(v)
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations", estimate, v
-    )
+def spectral_norm(c: DenseMatrix) -> float:
+    """Largest singular value, from LAPACK's SVD to working precision."""
+    return float(np.linalg.norm(c.array, 2))
 
 
-def stable_rank(c: DenseMatrix, tol: float = 1e-9, max_iter: int = 5000) -> float:
-    """Squared Frobenius norm over squared spectral norm; at least 1 for nonzero input.
-
-    ``tol`` and ``max_iter`` control the spectral-norm power iteration;
-    spectra with many near-top singular values may need a looser tolerance
-    or more iterations.
-    """
+def stable_rank(c: DenseMatrix) -> float:
+    """Squared Frobenius norm over squared spectral norm; at least 1 for nonzero input."""
     f = frobenius_norm(c)
     if f == 0.0:
         raise ZeroMatrixError("stable rank is undefined for the zero matrix")
-    s = spectral_norm(c, tol=tol, max_iter=max_iter)
-    return (f / s) ** 2
+    return (f / spectral_norm(c)) ** 2
 
 
 def reduced_qr(x: DenseMatrix, rank_tol: float = 1e-10) -> tuple[DenseMatrix, DenseMatrix]:

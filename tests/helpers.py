@@ -50,6 +50,13 @@ def explicit_srht_apply(x: np.ndarray, t: int, seed: int) -> np.ndarray:
     return s @ x_pad
 
 
+def resample_error(pair: SketchPair, idx: np.ndarray) -> float:
+    """Definitional non-parametric evaluation: resample rows jointly, compare products."""
+    a = pair.a_sketch.array
+    b = pair.b_sketch.array
+    return float(np.abs(a[idx].T @ b[idx] - pair.sketched_product).max())
+
+
 def dyad_form_error(pair: SketchPair, xi: np.ndarray) -> float:
     """Definitional multiplier evaluation: weighted centered dyads, averaged, max-abs."""
     a = pair.a_sketch.array

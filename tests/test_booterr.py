@@ -1,4 +1,4 @@
-"""Bootstrap sampler, quantile, extrapolation, and planning tests."""
+"""Bootstrap kernel, quantile, extrapolation, and planning tests."""
 
 import itertools
 import math
@@ -14,12 +14,8 @@ from sketchguard.booterr import (
     budget_check,
     empirical_quantile,
     extrapolate,
-    multinomial_weight_sample,
-    multiplier_bootstrap_sample,
     multiplier_error,
-    nonparametric_bootstrap_sample,
     plan_sketch_size,
-    resample_error,
 )
 from sketchguard.matcore import DenseMatrix
 from sketchguard.rng import substream
@@ -36,7 +32,7 @@ def make_pair(t: int, d: int, dp: int, seed: int = 0) -> SketchPair:
     )
 
 
-from helpers import dyad_form_error  # noqa: E402
+from helpers import dyad_form_error, resample_error  # noqa: E402
 
 
 class TestMultiplierSample:
@@ -49,13 +45,13 @@ class TestMultiplierSample:
             SketchSpec(SketchKind.GAUSSIAN, t, 0),
             source_rows=10,
         )
-        for b in range(5):
-            assert multiplier_bootstrap_sample(pair, substream(3, b)) == 0.0
+        est = bootstrap_quantile(pair, BootstrapConfig("multiplier", 5, 0.1, 3))
+        assert est.samples == (0.0,) * 5
 
     def test_single_row_cancels_exactly(self):
         pair = make_pair(1, 3, 2, seed=2)
-        for b in range(5):
-            assert multiplier_bootstrap_sample(pair, substream(4, b)) == 0.0
+        est = bootstrap_quantile(pair, BootstrapConfig("multiplier", 5, 0.1, 4))
+        assert est.samples == (0.0,) * 5
 
     def test_matches_dyad_form_with_fixed_weights(self):
         pair = make_pair(8, 3, 2, seed=3)
@@ -81,7 +77,8 @@ class TestMultiplierSample:
 class TestNonparametricSample:
     def test_single_row_resample_is_zero(self):
         pair = make_pair(1, 2, 2, seed=7)
-        assert nonparametric_bootstrap_sample(pair, substream(1, 0)) == 0.0
+        est = bootstrap_quantile(pair, BootstrapConfig("nonparametric", 2, 0.1, 1))
+        assert est.samples == (0.0, 0.0)
 
     def test_identical_rows_resample_invariance(self):
         row_a = np.array([1.5, -2.0, 0.5])
@@ -92,8 +89,8 @@ class TestNonparametricSample:
             SketchSpec(SketchKind.GAUSSIAN, 5, 0),
             source_rows=20,
         )
-        for b in range(10):
-            assert nonparametric_bootstrap_sample(pair, substream(2, b)) == 0.0
+        est = bootstrap_quantile(pair, BootstrapConfig("nonparametric", 10, 0.1, 2))
+        assert est.samples == (0.0,) * 10
 
     def test_empirical_distribution_matches_enumeration(self):
         pair = make_pair(3, 2, 2, seed=8)
@@ -103,21 +100,15 @@ class TestNonparametricSample:
             outcomes[v] = outcomes.get(v, 0) + 1
         draws = 100_000
         counts = {v: 0 for v in outcomes}
-        for i in range(draws):
-            v = round(nonparametric_bootstrap_sample(pair, substream(10, i)), 12)
+        est = bootstrap_quantile(pair, BootstrapConfig("nonparametric", draws, 0.1, 10))
+        for sample in est.samples:
+            v = round(sample, 12)
             assert v in counts
             counts[v] += 1
         for v, multiplicity in outcomes.items():
             p = multiplicity / 27
             se = math.sqrt(p * (1 - p) / draws)
             assert abs(counts[v] / draws - p) <= 5 * se
-
-    def test_index_validation(self):
-        pair = make_pair(3, 2, 2)
-        with pytest.raises(ValueError):
-            resample_error(pair, np.array([0, 1, 3]))
-        with pytest.raises(ValueError):
-            resample_error(pair, np.array([0.0, 1.0, 2.0]))
 
 
 class TestMultinomialWeights:
@@ -153,11 +144,6 @@ class TestMultinomialWeights:
         sq = xi**2
         sq_se = sq.std(axis=0, ddof=1) / math.sqrt(draws)
         assert (np.abs(sq.mean(axis=0) - (1 - 1 / t)) <= 5 * sq_se).all()
-
-    def test_sampler_runs(self):
-        pair = make_pair(5, 2, 2, seed=14)
-        v = multinomial_weight_sample(pair, substream(15, 0))
-        assert v >= 0.0
 
 
 class TestEmpiricalQuantile:
@@ -243,10 +229,11 @@ class TestBootstrapQuantile:
         assert est.value == empirical_quantile(est.samples, 1 - cfg.alpha)
         assert len(est.samples) == 15
 
-    def test_prefix_stability_in_replicates(self):
+    @pytest.mark.parametrize("scheme", ["multiplier", "nonparametric"])
+    def test_prefix_stability_in_replicates(self, scheme):
         pair = make_pair(8, 2, 2, seed=22)
-        small = bootstrap_quantile(pair, BootstrapConfig("multiplier", 20, 0.01, 9))
-        large = bootstrap_quantile(pair, BootstrapConfig("multiplier", 40, 0.01, 9))
+        small = bootstrap_quantile(pair, BootstrapConfig(scheme, 20, 0.01, 9))
+        large = bootstrap_quantile(pair, BootstrapConfig(scheme, 40, 0.01, 9))
         assert large.samples[:20] == small.samples
 
     def scaled_pair(self, pair: SketchPair, ka: float, kb: float) -> SketchPair:
@@ -280,7 +267,8 @@ class TestBootstrapQuantile:
         cfg = BootstrapConfig("nonparametric", 12, 0.1, 2)
         est = bootstrap_quantile(pair, cfg)
         want = tuple(
-            resample_error(pair, substream(2, b).integers(0, 7, 7)) for b in range(12)
+            multiplier_error(pair, np.bincount(substream(2, b).integers(0, 7, 7), minlength=7) - 1)
+            for b in range(12)
         )
         assert est.samples == want
 
@@ -349,6 +337,11 @@ class TestPlanSketchSize:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             plan_sketch_size(self.est(10, 0.1), 0.0)
+
+    @pytest.mark.parametrize("value,epsilon", [(1e200, 1e-200), (1e200, 1e-100)])
+    def test_non_finite_size_raises(self, value, epsilon):
+        with pytest.raises(ValueError, match="not finite"):
+            plan_sketch_size(self.est(10, value), epsilon)
 
 
 class TestBudgetCheck:

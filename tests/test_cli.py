@@ -16,7 +16,9 @@ from sketchguard.cli import (
     run_experiment,
     save_pair,
 )
+from sketchguard.datagen import RankMode, SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix
+from sketchguard.rng import derive_seed
 from sketchguard.sketch import SketchKind, SketchSpec, apply_spec
 
 
@@ -55,6 +57,23 @@ class TestPlanCommand:
     def test_missing_required_flag(self, capsys):
         code, _ = run_cli(capsys, "plan", "--t0", "500", "--epsilon", "0.05")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "qhat,epsilon,message",
+        [
+            ("inf", "0.05", "qhat must be a finite number, got 'inf'"),
+            ("0.2", "nan", "epsilon must be a finite number, got 'nan'"),
+            ("1e200", "1e-200", "is not finite"),
+        ],
+        ids=["qhat-inf", "epsilon-nan", "size-overflow"],
+    )
+    def test_non_finite_input_or_size_is_usage_error(self, capsys, caplog, qhat, epsilon, message):
+        code, out = run_cli(
+            capsys, "plan", "--t0", "10", "--qhat", qhat, "--epsilon", epsilon
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in caplog.text
 
 
 class TestSketchAndBootstrapCommands:
@@ -137,10 +156,8 @@ class TestOracleCommand:
 
 class TestExperiment:
     def small_spec(self, tmp_path, name, seed=4):
-        from sketchguard.datagen import RankMode, SynthProfile
-
         return ExperimentSpec(
-            data_source=SynthProfile(256, 8, RankMode.HIGH, seed),
+            data_source=synth_matrix(SynthProfile(256, 8, RankMode.HIGH, seed)),
             kind=SketchKind.GAUSSIAN,
             t0=8,
             t_grid=(8, 16, 32),
@@ -210,6 +227,38 @@ class TestExperiment:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
 
+    def test_single_estimator_rep_collapses_percentiles(self, tmp_path, capsys):
+        out = tmp_path / "one.csv"
+        code, _ = run_cli(
+            capsys, "experiment", "--synth", "128,8,high", "--kind", "gaussian",
+            "--t-grid", "4,8", "--alpha", "0.1", "--reps", "1", "--oracle-reps", "10",
+            "--seed", "6", "--out", str(out),
+        )
+        assert code == 0
+        for line in out.read_text().splitlines()[1:]:
+            est_mean, est_lo, est_hi = line.split(",")[4:]
+            assert est_lo == est_mean == est_hi
+
+    def test_command_matches_library_on_same_synthetic_matrix(self, tmp_path, capsys):
+        n, d, seed = 128, 8, 11
+        code, _ = run_cli(
+            capsys, "experiment", "--synth", f"{n},{d},high", "--kind", "length",
+            "--t-grid", "4,8,16", "--alpha", "0.1", "--reps", "12", "--oracle-reps", "20",
+            "--seed", str(seed), "--out", str(tmp_path / "cli.csv"),
+        )
+        assert code == 0
+        run_experiment(ExperimentSpec(
+            data_source=synth_matrix(SynthProfile(n, d, "high", derive_seed(seed, 0))),
+            kind=SketchKind.LENGTH_SAMPLE,
+            t_grid=(4, 8, 16),
+            alpha=0.1,
+            oracle_reps=20,
+            estimator_reps=12,
+            seed=seed,
+            out=tmp_path / "lib.csv",
+        ))
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
     def test_validation_errors(self, tmp_path):
         spec = self.small_spec(tmp_path, "x.csv")
         spec.alpha = 0.7
@@ -224,6 +273,15 @@ class TestExitCodes:
             "--out", str(tmp_path / "p.npz"),
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["sketch", "oracle", "experiment"])
+    def test_bad_synth_mode_reports_one_message(self, capsys, caplog, tmp_path, command):
+        code, _ = run_cli(
+            capsys, command, "--synth", "64,8,medium", "--kind", "gaussian",
+            "--out", str(tmp_path / "x.out"),
+        )
+        assert code == EXIT_USAGE
+        assert "synth mode must be low or high, got 'medium'" in caplog.text
 
     def test_usage_error_on_missing_source(self, capsys, tmp_path):
         code, _ = run_cli(
