@@ -6,10 +6,14 @@ Subcommands: ``sketch`` (compress a pair and store it), ``bootstrap``
 truth curve), and ``experiment`` (oracle curve plus repeated extrapolated
 estimates, written as one CSV).
 
-Option precedence is flags, then ``--config`` key=value file, then defaults.
+Option precedence is flags, then the ``--config`` key=value file, then the
+defaults in ``_OPTIONS``. A config key is the flag without its dashes, with
+``-`` or ``_`` (``t-grid`` or ``t_grid``); its value is parsed exactly as the
+flag's, and ``normalize = false`` means ``--no-normalize``. ``bootstrap
+--out`` writes the extrapolation table, so it needs ``--t-grid``.
 Logs go to standard error; results go to stdout or the ``--out`` file.
-Exit codes: 0 success, 2 usage or spec error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 usage or spec error, 3 data error (including a
+``--pair`` file that is not a stored sketch pair), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +49,8 @@ from .datagen import (
 from .matcore import DenseMatrix, RankDeficiencyError, ZeroMatrixError
 from .oracle import QuantileCurve, mc_quantile_curve
 from .parallel import run_indexed
-from .rng import check_seed, derive_seed
-from .sketch import (
-    LengthSamplingError,
-    SketchKind,
-    SketchPair,
-    SketchSpec,
-    apply_spec,
-)
+from .rng import derive_seed
+from .sketch import LengthSamplingError, SketchKind, SketchPair, SketchSpec, apply_spec
 
 __all__ = [
     "ExperimentSpec",
@@ -86,9 +85,17 @@ class SpecError(ValueError):
     """Invalid experiment specification or command-line usage."""
 
 
+class _PairFileError(ValueError):
+    """A --pair file that is not a sketch pair stored by save_pair."""
+
+
+def _default_t0(d: int) -> int:
+    return max(1, d // 2)
+
+
 def default_t_grid(d: int) -> tuple[int, ...]:
     """Eight log-spaced sketch sizes from d/2 up to 10d."""
-    lo = max(1, d // 2)
+    lo = _default_t0(d)
     hi = max(lo + 1, 10 * d)
     grid = np.unique(np.rint(np.geomspace(lo, hi, 8)).astype(int))
     return tuple(int(t) for t in grid)
@@ -115,24 +122,14 @@ class ExperimentSpec:
     out: str | Path | None = None
 
     def validate(self) -> None:
+        """Check what no library type checks.
+
+        run_experiment's SketchSpec, BootstrapConfig and mc_quantile_curve check the rest.
+        """
         if not isinstance(self.data_source, DenseMatrix):
             raise SpecError("data_source must be a DenseMatrix")
-        SketchKind(self.kind)
-        BootstrapScheme(self.scheme)
-        check_seed(self.seed)
-        if not 0.0 < self.alpha < 0.5:
-            raise SpecError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if self.boot_samples < 2:
-            raise SpecError("boot_samples must be at least 2")
-        if self.oracle_reps < 10:
-            raise SpecError("oracle_reps must be at least 10")
         if self.estimator_reps < 1:
             raise SpecError("estimator_reps must be at least 1")
-        if self.t0 is not None and self.t0 < 1:
-            raise SpecError("t0 must be at least 1")
-        if self.t_grid is not None:
-            if not self.t_grid or any(t < 1 for t in self.t_grid):
-                raise SpecError("t_grid entries must be positive")
 
 
 @dataclass
@@ -166,15 +163,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     spec.validate()
     matrix = spec.data_source
     d = matrix.cols
-    t0 = spec.t0 if spec.t0 is not None else max(1, d // 2)
-    grid = tuple(sorted(set(spec.t_grid))) if spec.t_grid else default_t_grid(d)
-    if min(grid) < t0:
-        LOG.warning(
-            "t_grid contains sizes below t0=%d; extrapolation there runs backwards", t0
-        )
+    t0 = spec.t0 if spec.t0 is not None else _default_t0(d)
+    grid = tuple(sorted(set(spec.t_grid))) if spec.t_grid is not None else default_t_grid(d)
+    # Built before the oracle, so a bad spec fails before any work; each rep re-seeds them.
+    sketch = SketchSpec(spec.kind, t0, spec.seed)
+    boot = BootstrapConfig(spec.scheme, spec.boot_samples, spec.alpha, spec.seed)
+    if grid and grid[0] < t0:
+        LOG.warning("t_grid contains sizes below t0=%d; extrapolation there runs backwards", t0)
     LOG.info(
         "experiment: %dx%d matrix, kind=%s, t0=%d, grid=%s",
-        matrix.rows, d, SketchKind(spec.kind).value, t0, list(grid),
+        matrix.rows, d, sketch.kind.value, t0, list(grid),
     )
     curve = mc_quantile_curve(
         matrix, matrix, spec.kind, grid, spec.oracle_reps, spec.alpha,
@@ -184,14 +182,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     def one_estimate(r: int) -> QuantileEstimate:
         pair = apply_spec(
-            matrix, matrix,
-            SketchSpec(spec.kind, t0, derive_seed(spec.seed, _TAG_EST_SKETCH, r)),
+            matrix, matrix, replace(sketch, seed=derive_seed(spec.seed, _TAG_EST_SKETCH, r))
         )
-        cfg = BootstrapConfig(
-            spec.scheme, spec.boot_samples, spec.alpha,
-            derive_seed(spec.seed, _TAG_EST_BOOT, r),
-        )
-        return bootstrap_quantile(pair, cfg)
+        boot_r = replace(boot, seed=derive_seed(spec.seed, _TAG_EST_BOOT, r))
+        return bootstrap_quantile(pair, boot_r)
 
     estimates = run_indexed(one_estimate, spec.estimator_reps)
     LOG.info("estimator reps done (%d)", spec.estimator_reps)
@@ -239,58 +233,58 @@ def save_pair(path, pair: SketchPair) -> None:
 
 
 def load_pair(path) -> SketchPair:
-    """Load a sketch pair stored by save_pair."""
-    with np.load(path) as z:
-        spec = SketchSpec(str(z["kind"]), int(z["t"]), int(z["seed"]))
-        return SketchPair(
-            DenseMatrix(z["a_sketch"]),
-            DenseMatrix(z["b_sketch"]),
-            spec,
-            int(z["source_rows"]),
-        )
+    """Load a sketch pair stored by save_pair.
+
+    A file that is not such an archive, or whose contents do not form a
+    valid pair, raises a ValueError that names ``path``.
+    """
+    try:
+        with np.load(path) as z:
+            spec = SketchSpec(str(z["kind"]), int(z["t"]), int(z["seed"]))
+            a, b = DenseMatrix(z["a_sketch"]), DenseMatrix(z["b_sketch"])
+            return SketchPair(a, b, spec, int(z["source_rows"]))
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise _PairFileError(f"{path}: not a stored sketch pair: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
-# argument handling
+# options
 
-def _to_int(s: str, name: str) -> int:
+def _finite(name: str):
+    """argparse type for a finite float; its messages name the option."""
+    def convert(s: str) -> float:
+        try:
+            value = float(s)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{name} must be a finite number, got {s!r}")
+        return value
+    return convert
+
+
+def _to_grid(s: str) -> tuple[int, ...]:
     try:
-        return int(s)
+        grid = tuple(int(p) for p in s.split(",") if p.strip())
     except ValueError:
-        raise SpecError(f"{name} must be an integer, got {s!r}") from None
+        grid = ()
+    if not grid:
+        raise argparse.ArgumentTypeError(
+            f"t-grid must be a comma-separated list of integers, got {s!r}"
+        )
+    return grid
 
 
-def _to_float(s: str, name: str) -> float:
+def _to_synth(s: str) -> tuple[int, int, RankMode]:
     try:
-        value = float(s)
+        n, d, mode = (p.strip() for p in s.split(","))
+        n, d = int(n), int(d)
     except ValueError:
-        raise SpecError(f"{name} must be a number, got {s!r}") from None
-    if not math.isfinite(value):
-        raise SpecError(f"{name} must be a finite number, got {s!r}")
-    return value
-
-
-def _to_grid(s: str, name: str = "t-grid") -> tuple[int, ...]:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise SpecError(f"{name} must be a comma-separated list of integers")
-    return tuple(_to_int(p, name) for p in parts)
-
-
-def _to_kind(s: str, name: str = "kind") -> SketchKind:
+        raise argparse.ArgumentTypeError(f"synth takes n,d,low|high, got {s!r}") from None
     try:
-        return SketchKind(s)
+        return n, d, RankMode(mode)
     except ValueError:
-        choices = ", ".join(k.value for k in SketchKind)
-        raise SpecError(f"{name} must be one of: {choices}; got {s!r}") from None
-
-
-def _to_scheme(s: str, name: str = "scheme") -> BootstrapScheme:
-    try:
-        return BootstrapScheme(s)
-    except ValueError:
-        choices = ", ".join(k.value for k in BootstrapScheme)
-        raise SpecError(f"{name} must be one of: {choices}; got {s!r}") from None
+        raise argparse.ArgumentTypeError(f"synth mode must be low or high, got {mode!r}") from None
 
 
 def _to_bool(s: str, name: str) -> bool:
@@ -317,138 +311,115 @@ def load_config(path) -> dict[str, str]:
     return out
 
 
-class _Options:
-    """Merged view over parsed flags and the optional config file."""
+_ALL = "sketch bootstrap plan oracle experiment"
+_DATA = "sketch bootstrap oracle experiment"
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
+# One row per option: the subcommands that take it, its flag, type, default
+# and help. Defaults that ExperimentSpec has come from it.
+_OPTIONS = (
+    ("bootstrap", "--pair", None, None, "stored sketch pair (.npz) from the sketch command"),
+    ("plan", "--qhat", _finite("qhat"), None, "estimated quantile at t0"),
+    ("plan", "--epsilon", _finite("epsilon"), None, "target error bound"),
+    ("plan", "--n", int, None, "source row count, enables the budget ratio"),
+    ("plan", "--d", int, None, "column count, enables the budget ratio"),
+    ("oracle", "--reps", int, ExperimentSpec.oracle_reps, "sketch realizations per grid point"),
+    ("experiment", "--reps", int, ExperimentSpec.estimator_reps,
+     "independent estimator repetitions, desk-scale substitute"),
+    ("experiment", "--oracle-reps", int, ExperimentSpec.oracle_reps,
+     "oracle realizations per grid point, desk-scale substitute"),
+    (_DATA, "--data", None, None, "path to a LIBSVM text file"),
+    (_DATA, "--synth", _to_synth, None, "synthetic matrix as n,d,low|high"),
+    (_DATA, "--no-normalize", None, None, "skip scaling loaded data to unit Gram max-abs entry"),
+    (_DATA, "--kind", SketchKind, None, "sketch operator: " + "|".join(SketchKind)),
+    ("sketch bootstrap plan experiment", "--t0", int, None, "initial sketch size (default: d/2)"),
+    ("bootstrap oracle experiment", "--t-grid", _to_grid, None,
+     "comma list of sketch sizes (default: 8 log-spaced from d/2 to 10d)"),
+    ("bootstrap plan oracle experiment", "--alpha", _finite("alpha"), ExperimentSpec.alpha,
+     "quantile tail level"),
+    ("bootstrap plan experiment", "--boot-samples", int, ExperimentSpec.boot_samples,
+     "bootstrap replicates B"),
+    ("bootstrap plan experiment", "--scheme", BootstrapScheme, ExperimentSpec.scheme.value,
+     "bootstrap scheme: " + "|".join(BootstrapScheme)),
+    (_ALL, "--seed", int, ExperimentSpec.seed, "base seed, 64-bit unsigned"),
+    (_DATA, "--out", None, None, "output file path"),
+    (_ALL, "--config", None, None, "key=value config file (flags override it)"),
+)
 
-    def get(self, name: str, convert=None, default=None):
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is None:
-            value = self.config.get(name.replace("-", "_"))
-        if value is None:
-            return default
-        if convert is not None and isinstance(value, str):
-            return convert(value, name)
-        return value
 
-    def require(self, name: str, convert=None):
-        value = self.get(name, convert)
-        if value is None:
+def _require(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) is None:
             raise SpecError(f"missing required option --{name}")
-        return value
 
 
-def _want_normalize(opt: _Options) -> bool:
-    if getattr(opt.args, "no_normalize", False):
-        return False
-    return opt.get("normalize", _to_bool, True)
-
-
-def _resolve_cli_matrix(opt: _Options) -> DenseMatrix:
-    data = opt.get("data")
-    synth = opt.get("synth")
-    if (data is None) == (synth is None):
+def _resolve_cli_matrix(args: argparse.Namespace) -> DenseMatrix:
+    if (args.data is None) == (args.synth is None):
         raise SpecError("exactly one of --data and --synth is required")
-    if data is not None:
-        matrix = libsvm_load(data)
-        if _want_normalize(opt):
-            matrix = normalize_gram_linf(matrix)
-        return matrix
-    parts = [p.strip() for p in str(synth).split(",")]
-    if len(parts) != 3:
-        raise SpecError("--synth takes n,d,low|high")
-    n, d = _to_int(parts[0], "synth n"), _to_int(parts[1], "synth d")
-    try:
-        mode = RankMode(parts[2])
-    except ValueError:
-        raise SpecError(f"synth mode must be low or high, got {parts[2]!r}") from None
-    seed = opt.get("seed", _to_int, 0)
-    return synth_matrix(SynthProfile(n, d, mode, derive_seed(seed, _TAG_DATA)))
+    if args.data is not None:
+        matrix = libsvm_load(args.data)
+        return normalize_gram_linf(matrix) if args.normalize else matrix
+    n, d, mode = args.synth
+    return synth_matrix(SynthProfile(n, d, mode, derive_seed(args.seed, _TAG_DATA)))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _sketch_pair(opt: _Options) -> SketchPair:
+def _sketch_pair(args: argparse.Namespace) -> SketchPair:
     """Sketch the --data or --synth matrix against itself as the options say."""
-    matrix = _resolve_cli_matrix(opt)
-    t0 = opt.get("t0", _to_int, max(1, matrix.cols // 2))
-    kind = opt.require("kind", _to_kind)
-    seed = opt.get("seed", _to_int, 0)
-    return apply_spec(matrix, matrix, SketchSpec(kind, t0, seed))
+    _require(args, "kind")
+    matrix = _resolve_cli_matrix(args)
+    t0 = args.t0 if args.t0 is not None else _default_t0(matrix.cols)
+    return apply_spec(matrix, matrix, SketchSpec(args.kind, t0, args.seed))
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    out = opt.require("out")
-    pair = _sketch_pair(opt)
-    save_pair(out, pair)
+    _require(args, "out")
+    pair = _sketch_pair(args)
+    save_pair(args.out, pair)
     print(
-        f"wrote {out}: kind={pair.spec.kind.value} t={pair.t} "
+        f"wrote {args.out}: kind={pair.spec.kind.value} t={pair.t} "
         f"from {pair.source_rows}x{pair.a_sketch.cols}"
     )
     return EXIT_OK
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    pair_path = opt.get("pair")
-    pair = load_pair(pair_path) if pair_path is not None else _sketch_pair(opt)
-    cfg = BootstrapConfig(
-        opt.get("scheme", _to_scheme, BootstrapScheme.MULTIPLIER),
-        opt.get("boot-samples", _to_int, 20),
-        opt.get("alpha", _to_float, 0.01),
-        opt.get("seed", _to_int, 0),
-    )
+    if args.out is not None and args.t_grid is None:
+        raise SpecError("--out needs --t-grid: bootstrap writes only the extrapolation table")
+    pair = load_pair(args.pair) if args.pair is not None else _sketch_pair(args)
+    cfg = BootstrapConfig(args.scheme, args.boot_samples, args.alpha, args.seed)
     est = bootstrap_quantile(pair, cfg)
     print(f"q_hat({est.t0}) = {est.value:.9g}")
-    grid = opt.get("t-grid", _to_grid)
-    if grid:
-        rows = [(t, extrapolate(est, t)) for t in sorted(set(grid))]
+    if args.t_grid:
+        rows = [(t, extrapolate(est, t)) for t in sorted(set(args.t_grid))]
         for t, value in rows:
             print(f"q_ext({t}) = {value:.9g}")
-        out = opt.get("out")
-        if out:
-            write_curve_csv(out, rows, "t,q_ext")
+        if args.out:
+            write_curve_csv(args.out, rows, "t,q_ext")
     return EXIT_OK
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    t0 = opt.require("t0", _to_int)
-    qhat = opt.require("qhat", _to_float)
-    epsilon = opt.require("epsilon", _to_float)
-    alpha = opt.get("alpha", _to_float, 0.01)
-    if qhat < 0:
-        raise SpecError("qhat must be nonnegative")
-    est = QuantileEstimate(t0=t0, alpha=alpha, value=qhat, samples=(qhat,))
-    t = plan_sketch_size(est, epsilon)
+    _require(args, "t0", "qhat", "epsilon")
+    est = QuantileEstimate(t0=args.t0, alpha=args.alpha, value=args.qhat, samples=(args.qhat,))
+    t = plan_sketch_size(est, args.epsilon)
     print(f"t = {t}")
-    n = opt.get("n", _to_int)
-    d = opt.get("d", _to_int)
-    if n is not None and d is not None:
-        b_samples = opt.get("boot-samples", _to_int, 20)
-        ratio = budget_check(b_samples, t, t0, n, d)
+    if args.n is not None and args.d is not None:
+        ratio = budget_check(args.boot_samples, t, args.t0, args.n, args.d)
         print(f"budget_ratio = {ratio:.9g}")
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    matrix = _resolve_cli_matrix(opt)
-    kind = opt.require("kind", _to_kind)
-    grid = opt.get("t-grid", _to_grid, default_t_grid(matrix.cols))
-    alpha = opt.get("alpha", _to_float, 0.01)
-    reps = opt.get("reps", _to_int, 400)
-    seed = opt.get("seed", _to_int, 0)
+    _require(args, "kind")
+    matrix = _resolve_cli_matrix(args)
     curve = mc_quantile_curve(
-        matrix, matrix, kind, grid, reps, alpha, derive_seed(seed, _TAG_ORACLE)
+        matrix, matrix, args.kind, args.t_grid or default_t_grid(matrix.cols),
+        args.reps, args.alpha, derive_seed(args.seed, _TAG_ORACLE),
     )
     rows = zip(curve.ts, curve.values, curve.band_low, curve.band_high)
-    out = opt.get("out") or None
+    out = args.out or None
     write_curve_csv(out, rows, "t,oracle_q,oracle_lo,oracle_hi")
     if out:
         print(f"wrote {out}")
@@ -456,20 +427,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    out = opt.require("out")
+    _require(args, "out", "kind")
     spec = ExperimentSpec(
-        data_source=_resolve_cli_matrix(opt),
-        kind=opt.require("kind", _to_kind),
-        t0=opt.get("t0", _to_int),
-        t_grid=opt.get("t-grid", _to_grid),
-        alpha=opt.get("alpha", _to_float, 0.01),
-        boot_samples=opt.get("boot-samples", _to_int, 20),
-        scheme=opt.get("scheme", _to_scheme, BootstrapScheme.MULTIPLIER),
-        oracle_reps=opt.get("oracle-reps", _to_int, 400),
-        estimator_reps=opt.get("reps", _to_int, 200),
-        seed=opt.get("seed", _to_int, 0),
-        out=out,
+        data_source=_resolve_cli_matrix(args), kind=args.kind, t0=args.t0, t_grid=args.t_grid,
+        alpha=args.alpha, boot_samples=args.boot_samples, scheme=args.scheme,
+        oracle_reps=args.oracle_reps, estimator_reps=args.reps, seed=args.seed, out=args.out,
     )
     result = run_experiment(spec)
     print(f"wrote {spec.out}: {len(result.rows)} grid points, t0={result.t0}")
@@ -479,37 +441,26 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry point
 
-def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
-    if "data" in names:
-        sp.add_argument("--data", help="path to a LIBSVM text file")
-        sp.add_argument("--synth", help="synthetic matrix as n,d,low|high")
-        sp.add_argument(
-            "--no-normalize", dest="no_normalize", action="store_true",
-            help="skip scaling loaded data to unit Gram max-abs entry",
-        )
-    if "kind" in names:
-        sp.add_argument("--kind", help="sketch operator: gaussian|uniform|length|srht")
-    if "t0" in names:
-        sp.add_argument("--t0", help="initial sketch size (default: d/2)")
-    if "t-grid" in names:
-        sp.add_argument("--t-grid", dest="t_grid", help="comma list of sketch sizes")
-    if "alpha" in names:
-        sp.add_argument("--alpha", help="quantile tail level (default 0.01)")
-    if "boot" in names:
-        sp.add_argument(
-            "--boot-samples", dest="boot_samples",
-            help="bootstrap replicates B (default 20)",
-        )
-        sp.add_argument("--scheme", help="bootstrap scheme: multiplier|nonparametric")
-    if "seed" in names:
-        sp.add_argument("--seed", help="base seed, 64-bit unsigned (default 0)")
-    if "out" in names:
-        sp.add_argument("--out", help="output file path")
-    sp.add_argument("--config", help="key=value config file (flags override it)")
+_COMMANDS = {
+    "sketch": (cmd_sketch, "sketch a matrix pair and store it"),
+    "bootstrap": (cmd_bootstrap, "bootstrap the error quantile of a sketch pair"),
+    "plan": (cmd_plan, "minimal sketch size for a target accuracy"),
+    "oracle": (cmd_oracle, "Monte-Carlo ground-truth quantile curve"),
+    "experiment": (cmd_experiment, "oracle curve plus repeated extrapolated estimates, as CSV"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Prints the usage line, then raises SpecError, which main logs (exit 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SpecError(message)
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The sketchguard parser; ``defaults`` replace _OPTIONS' and parse like flag values."""
+    parser = _Parser(
         prog="sketchguard",
         description=(
             "Sketched matrix products with bootstrap estimates of the "
@@ -517,59 +468,43 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("sketch", help="sketch a matrix pair and store it")
-    _add_common(sp, "data", "kind", "t0", "seed", "out")
-    sp.set_defaults(func=cmd_sketch)
-
-    sp = sub.add_parser("bootstrap", help="bootstrap the error quantile of a sketch pair")
-    sp.add_argument("--pair", help="stored sketch pair (.npz) from the sketch command")
-    _add_common(sp, "data", "kind", "t0", "t-grid", "alpha", "boot", "seed", "out")
-    sp.set_defaults(func=cmd_bootstrap)
-
-    sp = sub.add_parser("plan", help="minimal sketch size for a target accuracy")
-    sp.add_argument("--qhat", help="estimated quantile at t0")
-    sp.add_argument("--epsilon", help="target error bound")
-    sp.add_argument("--n", help="source row count, enables the budget ratio")
-    sp.add_argument("--d", help="column count, enables the budget ratio")
-    _add_common(sp, "t0", "alpha", "boot", "seed")
-    sp.set_defaults(func=cmd_plan)
-
-    sp = sub.add_parser("oracle", help="Monte-Carlo ground-truth quantile curve")
-    sp.add_argument("--reps", help="sketch realizations per grid point (default 400)")
-    _add_common(sp, "data", "kind", "t-grid", "alpha", "seed", "out")
-    sp.set_defaults(func=cmd_oracle)
-
-    sp = sub.add_parser(
-        "experiment",
-        help="oracle curve plus repeated extrapolated estimates, written as CSV",
-    )
-    sp.add_argument(
-        "--reps",
-        help="independent estimator repetitions (default 200, desk-scale substitute)",
-    )
-    sp.add_argument(
-        "--oracle-reps", dest="oracle_reps",
-        help="oracle realizations per grid point (default 400, desk-scale substitute)",
-    )
-    _add_common(sp, "data", "kind", "t0", "t-grid", "alpha", "boot", "seed", "out")
-    sp.set_defaults(func=cmd_experiment)
+    for name, (func, summary) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for commands, flag, convert, default, help_text in _OPTIONS:
+            if name not in commands.split():
+                continue
+            if flag == "--no-normalize":
+                sp.add_argument(flag, dest="normalize", action="store_false", help=help_text)
+            else:
+                shown = "" if default is None else " (default %(default)s)"
+                sp.add_argument(flag, type=convert, default=default, help=help_text + shown)
+        sp.set_defaults(func=func, **(defaults or {}))
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; --config values become the subcommand's defaults, so flags win."""
+    args = build_parser().parse_args(argv)
+    if args.config is None:
+        return args
+    options = vars(args).keys() - {"command", "func", "config"}
+    config = {k: v for k, v in load_config(args.config).items() if k in options}
+    if "normalize" in config:
+        config["normalize"] = _to_bool(config["normalize"], "normalize")
+    return build_parser(config).parse_args(argv)
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = _parse(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except SpecError as exc:
         LOG.error("%s", exc)
         return EXIT_USAGE
-    except (LibsvmParseError, OSError, UnicodeDecodeError) as exc:
+    except (LibsvmParseError, _PairFileError, OSError, UnicodeDecodeError) as exc:
         LOG.error("data error: %s", exc)
         return EXIT_DATA
     except (RankDeficiencyError, ZeroMatrixError, LengthSamplingError) as exc:

@@ -12,7 +12,10 @@ def thread_cap() -> int:
     raw = os.environ.get(ENV_VAR, "").strip()
     if raw in ("", "0"):
         return os.cpu_count() or 1
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"{ENV_VAR} must be nonnegative, got {value}")
     return value

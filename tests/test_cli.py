@@ -349,3 +349,195 @@ class TestDefaultGrid:
         assert grid[-1] == 640
         assert len(grid) == 8
         assert all(t2 > t1 for t1, t2 in zip(grid, grid[1:]))
+
+
+def _caplog_message(caplog):
+    return "\n".join(r.getMessage() for r in caplog.records)
+
+
+class TestOptionTable:
+    def test_each_subcommand_takes_exactly_these_flags(self):
+        import argparse
+
+        from sketchguard.cli import build_parser
+
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()
+        }
+        common = {"-h", "--help", "--seed", "--config"}
+        data = {"--data", "--synth", "--no-normalize", "--kind", "--out"}
+        assert flags == {
+            "sketch": common | data | {"--t0"},
+            "bootstrap": common | data | {
+                "--pair", "--t0", "--t-grid", "--alpha", "--boot-samples", "--scheme",
+            },
+            "plan": common | {
+                "--qhat", "--epsilon", "--n", "--d", "--t0", "--alpha", "--boot-samples",
+                "--scheme",
+            },
+            "oracle": common | data | {"--reps", "--t-grid", "--alpha"},
+            "experiment": common | data | {
+                "--reps", "--oracle-reps", "--t0", "--t-grid", "--alpha", "--boot-samples",
+                "--scheme",
+            },
+        }
+
+
+class TestConfigValuesParseLikeFlags:
+    @pytest.fixture
+    def pair_file(self, tmp_path, capsys):
+        out = tmp_path / "pair.npz"
+        run_cli(
+            capsys, "sketch", "--synth", "64,8,high", "--kind", "gaussian",
+            "--t0", "8", "--seed", "5", "--out", str(out),
+        )
+        return out
+
+    def config(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        return str(cfg)
+
+    def test_hyphenated_grid_key(self, tmp_path, capsys, pair_file):
+        cfg = self.config(tmp_path, "t-grid = 16,32\n")
+        code, via_config = run_cli(capsys, "bootstrap", "--pair", str(pair_file), "--config", cfg)
+        assert code == 0
+        _, via_flag = run_cli(capsys, "bootstrap", "--pair", str(pair_file), "--t-grid", "16,32")
+        assert via_config == via_flag
+        assert "q_ext(32)" in via_config
+
+    def test_kind_key(self, tmp_path, capsys):
+        out = tmp_path / "p.npz"
+        cfg = self.config(tmp_path, "kind = srht\n")
+        code, _ = run_cli(
+            capsys, "sketch", "--synth", "64,8,high", "--out", str(out), "--config", cfg
+        )
+        assert code == 0
+        assert load_pair(out).spec.kind is SketchKind.SRHT
+
+    def test_scheme_key(self, tmp_path, capsys, pair_file):
+        cfg = self.config(tmp_path, "scheme = nonparametric\n")
+        _, via_config = run_cli(capsys, "bootstrap", "--pair", str(pair_file), "--config", cfg)
+        _, via_flag = run_cli(
+            capsys, "bootstrap", "--pair", str(pair_file), "--scheme", "nonparametric"
+        )
+        _, multiplier = run_cli(capsys, "bootstrap", "--pair", str(pair_file))
+        assert via_config == via_flag != multiplier
+
+    def test_normalize_false_matches_no_normalize_flag(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text(
+            "".join(f"1 1:{i + 1} 2:{(i * 7) % 5 - 2} 3:{i % 3}\n" for i in range(40)),
+            encoding="utf-8",
+        )
+        cfg = self.config(tmp_path, "normalize = false\n")
+        base = ["oracle", "--data", str(data), "--kind", "uniform", "--t-grid", "4,8",
+                "--reps", "10", "--seed", "1"]
+        outs = {}
+        for name, extra in [("config", ["--config", cfg]), ("flag", ["--no-normalize"]),
+                            ("normalized", [])]:
+            outs[name] = tmp_path / f"{name}.csv"
+            code, _ = run_cli(capsys, *base, *extra, "--out", str(outs[name]))
+            assert code == 0
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["config"].read_bytes() != outs["normalized"].read_bytes()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("t0 = abc", "--t0"),
+            ("t-grid = 8,x", "--t-grid"),
+            ("kind = fourier", "--kind"),
+            ("scheme = jackknife", "--scheme"),
+            ("alpha = inf", "alpha must be a finite number"),
+            ("normalize = maybe", "normalize must be a boolean"),
+        ],
+    )
+    def test_bad_value_is_usage_error_naming_the_option(
+        self, tmp_path, capsys, caplog, line, message
+    ):
+        cfg = self.config(tmp_path, "kind = gaussian\n" + line + "\n")
+        code, out = run_cli(capsys, "bootstrap", "--synth", "64,8,high", "--config", cfg)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in _caplog_message(caplog)
+
+
+class TestBootstrapOut:
+    def test_out_without_grid_fails_before_loading(self, tmp_path, capsys, caplog):
+        csv_file = tmp_path / "q.csv"
+        code, out = run_cli(
+            capsys, "bootstrap", "--pair", str(tmp_path / "missing.npz"), "--out", str(csv_file)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--t-grid" in _caplog_message(caplog)
+        assert not csv_file.exists()
+
+
+def _pair_arrays(**overrides):
+    arrays = dict(
+        a_sketch=np.ones((4, 3)), b_sketch=np.ones((4, 3)), kind="gaussian",
+        t=np.uint64(4), seed=np.uint64(1), source_rows=np.uint64(16),
+    )
+    arrays.update(overrides)
+    return {k: v for k, v in arrays.items() if v is not None}
+
+
+class TestMalformedPairFile:
+    @pytest.mark.parametrize(
+        "name,write",
+        [
+            ("nokind.npz", lambda p: np.savez(p, **_pair_arrays(kind=None))),
+            ("plain.npy", lambda p: np.save(p, np.ones((4, 3)))),
+            ("text.npz", lambda p: p.write_text("not an archive\n", encoding="utf-8")),
+            ("short.npz", lambda p: np.savez(p, **_pair_arrays(t=np.uint64(5)))),
+            ("nan.npz", lambda p: np.savez(p, **_pair_arrays(a_sketch=np.full((4, 3), np.nan)))),
+            ("cut.npz", lambda p: p.write_bytes(b"PK\x03\x04" + bytes(60))),
+        ],
+        ids=["no-kind", "npy", "text", "t-mismatch", "nan", "truncated-zip"],
+    )
+    def test_is_data_error_naming_the_file(self, tmp_path, capsys, caplog, name, write):
+        path = tmp_path / name
+        write(path)
+        code, out = run_cli(capsys, "bootstrap", "--pair", str(path))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert str(path) in _caplog_message(caplog)
+
+
+class TestEntryPoint:
+    def run_entry(self, *argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import sketchguard
+
+        src = str(Path(sketchguard.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        return subprocess.run(
+            [sys.executable, "-c", "from sketchguard.cli import entry; entry()", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_exit_code_reaches_the_shell_and_logs_go_to_stderr(self, tmp_path):
+        out = tmp_path / "run.csv"
+        ok = self.run_entry(
+            "experiment", "--synth", "32,4,high", "--kind", "uniform", "--t-grid", "2,4",
+            "--reps", "2", "--oracle-reps", "10", "--out", str(out),
+        )
+        assert ok.returncode == 0
+        assert ok.stdout == f"wrote {out}: 2 grid points, t0=2\n"
+        assert "INFO experiment:" in ok.stderr
+        bad = self.run_entry("plan", "--t0", "500", "--epsilon", "0.05")
+        assert bad.returncode == EXIT_USAGE
+        assert bad.stdout == ""
+        assert "ERROR missing required option --qhat" in bad.stderr
