@@ -10,7 +10,9 @@ Option precedence is flags, then the ``--config`` key=value file, then the
 defaults in ``_OPTIONS``. A config key is the flag without its dashes, with
 ``-`` or ``_`` (``t-grid`` or ``t_grid``); its value is parsed exactly as the
 flag's, and ``normalize = false`` means ``--no-normalize``. ``bootstrap
---out`` writes the extrapolation table, so it needs ``--t-grid``.
+--out`` writes the extrapolation table, so it needs ``--t-grid``; ``bootstrap
+--pair`` takes the stored sketch, so data and sketch flags are errors with it
+(config keys for them are ignored).
 Logs go to standard error; results go to stdout or the ``--out`` file.
 Exit codes: 0 success, 2 usage or spec error, 3 data error (including a
 ``--pair`` file that is not a stored sketch pair), 4 numerical failure.
@@ -47,7 +49,7 @@ from .datagen import (
     synth_matrix,
 )
 from .matcore import DenseMatrix, RankDeficiencyError, ZeroMatrixError
-from .oracle import QuantileCurve, mc_quantile_curve
+from .oracle import QuantileCurve, mc_quantile_curve, pair_sampler
 from .parallel import run_indexed
 from .rng import derive_seed
 from .sketch import LengthSamplingError, SketchKind, SketchPair, SketchSpec, apply_spec
@@ -156,16 +158,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     Draws ``oracle_reps`` sketch realizations per grid t for the ground-truth
     quantile, then ``estimator_reps`` independent t0-sketches, bootstrapping
-    each and extrapolating across the grid. Writes ``spec.out`` when set:
-    one row per t with the oracle value and its 10%/90% bands next to the
-    mean extrapolated estimate and its 10%/90% percentiles.
+    each and extrapolating across the grid. Both draw through the oracle's
+    ``pair_sampler``: the bootstrap sees only the sketch rows, whose law that
+    sampler keeps. Writes ``spec.out`` when set: one row per t with the
+    oracle value and its 10%/90% bands next to the mean extrapolated estimate
+    and its 10%/90% percentiles.
     """
     spec.validate()
     matrix = spec.data_source
     d = matrix.cols
     t0 = spec.t0 if spec.t0 is not None else _default_t0(d)
     grid = tuple(sorted(set(spec.t_grid))) if spec.t_grid is not None else default_t_grid(d)
-    # Built before the oracle, so a bad spec fails before any work; each rep re-seeds them.
+    # Built before the oracle, so a bad spec fails before any work; each rep re-seeds boot.
     sketch = SketchSpec(spec.kind, t0, spec.seed)
     boot = BootstrapConfig(spec.scheme, spec.boot_samples, spec.alpha, spec.seed)
     if grid and grid[0] < t0:
@@ -179,11 +183,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         derive_seed(spec.seed, _TAG_ORACLE),
     )
     LOG.info("oracle curve done (%d reps per t)", spec.oracle_reps)
+    draw = pair_sampler(matrix, matrix, sketch.kind)
 
     def one_estimate(r: int) -> QuantileEstimate:
-        pair = apply_spec(
-            matrix, matrix, replace(sketch, seed=derive_seed(spec.seed, _TAG_EST_SKETCH, r))
-        )
+        pair = draw(t0, derive_seed(spec.seed, _TAG_EST_SKETCH, r))
         boot_r = replace(boot, seed=derive_seed(spec.seed, _TAG_EST_BOOT, r))
         return bootstrap_quantile(pair, boot_r)
 
@@ -338,9 +341,9 @@ _OPTIONS = (
      "quantile tail level"),
     ("bootstrap plan experiment", "--boot-samples", int, ExperimentSpec.boot_samples,
      "bootstrap replicates B"),
-    ("bootstrap plan experiment", "--scheme", BootstrapScheme, ExperimentSpec.scheme.value,
+    ("bootstrap experiment", "--scheme", BootstrapScheme, ExperimentSpec.scheme.value,
      "bootstrap scheme: " + "|".join(BootstrapScheme)),
-    (_ALL, "--seed", int, ExperimentSpec.seed, "base seed, 64-bit unsigned"),
+    (_DATA, "--seed", int, ExperimentSpec.seed, "base seed, 64-bit unsigned"),
     (_DATA, "--out", None, None, "output file path"),
     (_ALL, "--config", None, None, "key=value config file (flags override it)"),
 )
@@ -387,6 +390,14 @@ def cmd_sketch(args: argparse.Namespace) -> int:
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     if args.out is not None and args.t_grid is None:
         raise SpecError("--out needs --t-grid: bootstrap writes only the extrapolation table")
+    if args.pair is not None:
+        # Only the command line counts: a shared config may set the data options.
+        given = [f"--{name}" for name in ("data", "synth", "kind", "t0")
+                 if getattr(args.flags, name) is not None]
+        if not args.flags.normalize:
+            given.append("--no-normalize")
+        if given:
+            raise SpecError(f"--pair takes the stored sketch; drop {', '.join(given)}")
     pair = load_pair(args.pair) if args.pair is not None else _sketch_pair(args)
     cfg = BootstrapConfig(args.scheme, args.boot_samples, args.alpha, args.seed)
     est = bootstrap_quantile(pair, cfg)
@@ -483,15 +494,21 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse argv; --config values become the subcommand's defaults, so flags win."""
-    args = build_parser().parse_args(argv)
-    if args.config is None:
-        return args
-    options = vars(args).keys() - {"command", "func", "config"}
-    config = {k: v for k, v in load_config(args.config).items() if k in options}
-    if "normalize" in config:
-        config["normalize"] = _to_bool(config["normalize"], "normalize")
-    return build_parser(config).parse_args(argv)
+    """Parse argv; --config values become the subcommand's defaults, so flags win.
+
+    ``args.flags`` is argv parsed without the config file, so a command can
+    tell an option given on the command line from a config key.
+    """
+    flags = build_parser().parse_args(argv)
+    args = argparse.Namespace(**vars(flags))
+    if flags.config is not None:
+        options = vars(flags).keys() - {"command", "func", "config"}
+        config = {k: v for k, v in load_config(flags.config).items() if k in options}
+        if "normalize" in config:
+            config["normalize"] = _to_bool(config["normalize"], "normalize")
+        args = build_parser(config).parse_args(argv)
+    args.flags = flags
+    return args
 
 
 def main(argv=None) -> int:

@@ -139,12 +139,19 @@ def synth_matrix(profile: SynthProfile) -> DenseMatrix:
 
 
 def normalize_gram_linf(a: DenseMatrix) -> DenseMatrix:
-    """Scale so the Gram matrix has max-abs entry 1 (divide by its square root)."""
-    gram = a.array.T @ a.array
-    peak = float(np.abs(gram).max())
-    if peak == 0.0:
+    """Scale so the Gram matrix has max-abs entry 1 (divide by its square root).
+
+    The entries are first scaled by the power of two that brings the max-abs
+    entry into [0.5, 1), so the Gram can neither overflow nor underflow. That
+    scaling is exact and cancels in the division, so it changes no bit of the
+    result for inputs whose Gram was representable before.
+    """
+    top = max(float(a.array.max()), -float(a.array.min()))
+    if top == 0.0:
         raise ZeroMatrixError("cannot normalize the zero matrix")
-    return DenseMatrix._wrap(a.array / math.sqrt(peak))
+    scaled = np.ldexp(a.array, -math.frexp(top)[1])
+    scaled /= math.sqrt(float(np.abs(scaled.T @ scaled).max()))
+    return DenseMatrix._wrap(scaled)
 
 
 def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:

@@ -4,10 +4,17 @@ These routines see the original matrices, which the bootstrap never does:
 they evaluate the actual sketching error, estimate its quantile curve by
 plain Monte Carlo over many sketch realizations, and measure how often an
 extrapolated bootstrap bound actually covers the realized error.
+
+Gaussian realizations are drawn in Gram space. Let ``[A B] = Q R`` be a
+reduced QR, with m columns and k = min(n, m) rows in R. Q has orthonormal
+columns, so ``S Q`` has i.i.d. N(0, 1/t) entries whenever S does, and
+``[SA SB] = (S Q) R`` has the same law as ``G R`` for a t x k matrix G of
+i.i.d. N(0, 1/t) entries. Each draw then costs O(t k m), independent of n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,7 +22,7 @@ import numpy as np
 from .booterr import BootstrapConfig, bootstrap_quantile, empirical_quantile, extrapolate
 from .matcore import DenseMatrix, linf_norm, matmul_t
 from .parallel import run_indexed
-from .rng import derive_seed
+from .rng import derive_seed, substream
 from .sketch import SketchKind, SketchPair, SketchSpec, apply_spec
 
 __all__ = ["QuantileCurve", "true_error", "mc_quantile_curve", "coverage_probe"]
@@ -66,6 +73,33 @@ def true_error(a: DenseMatrix, b: DenseMatrix, pair: SketchPair) -> float:
     return linf_norm(DenseMatrix._wrap(pair.sketched_product - matmul_t(a, b).array))
 
 
+def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
+    """Return ``draw(t, seed) -> SketchPair``, one sketch realization per call.
+
+    For Gaussian sketches the pair is ``G R`` (see the module docstring), with
+    G drawn from the stream (seed, 0); it has the law of ``gaussian_sketch``'s
+    pair, not its bits. R comes from one QR of the data, which need not have
+    full rank. Every other kind is ``apply_spec`` itself.
+    """
+    kind = SketchKind(kind)
+    if kind is not SketchKind.GAUSSIAN:
+        return lambda t, seed: apply_spec(a, b, SketchSpec(kind, t, seed))
+    if a.rows != b.rows:
+        raise ValueError(f"row counts differ: {a.rows} vs {b.rows}")
+    r = np.linalg.qr(a.array if b is a else np.hstack([a.array, b.array]), mode="r")
+    r_a, r_b = r[:, : a.cols], r[:, a.cols :]
+
+    def draw(t: int, seed: int) -> SketchPair:
+        spec = SketchSpec(kind, t, seed)
+        g = substream(seed, 0).standard_normal((t, r.shape[0]))
+        g *= 1.0 / math.sqrt(t)
+        a_sk = DenseMatrix._wrap(g @ r_a)
+        b_sk = a_sk if b is a else DenseMatrix._wrap(g @ r_b)
+        return SketchPair(a_sk, b_sk, spec, a.rows)
+
+    return draw
+
+
 def mc_quantile_curve(
     a: DenseMatrix,
     b: DenseMatrix,
@@ -78,11 +112,11 @@ def mc_quantile_curve(
 ) -> QuantileCurve:
     """Monte-Carlo estimate of the (1 - alpha) error quantile over a t grid.
 
-    For each t, draws ``reps`` independent sketch pairs (realization r of
-    grid entry i is seeded from (seed, i, r)) and records the interpolated
-    sample quantile of the realized errors, plus percentile bands (defaults
-    10% and 90%). The quantile value sits inside the bands only when 1-alpha
-    lies between the band percentiles.
+    For each t, draws ``reps`` independent sketch pairs from ``pair_sampler``
+    (realization r of grid entry i is seeded from (seed, i, r)) and records
+    the interpolated sample quantile of the realized errors, plus percentile
+    bands (defaults 10% and 90%). The quantile value sits inside the bands
+    only when 1-alpha lies between the band percentiles.
     """
     if reps < 10:
         raise ValueError(f"need at least 10 realizations per t, got {reps}")
@@ -92,11 +126,12 @@ def mc_quantile_curve(
     lo_p, hi_p = band_percentiles
     if not 0.0 < lo_p < hi_p < 1.0:
         raise ValueError(f"band percentiles must satisfy 0 < lo < hi < 1, got {band_percentiles}")
+    draw = pair_sampler(a, b, kind)
     truth = matmul_t(a, b).array
     points, lows, highs = [], [], []
     for i, t in enumerate(grid):
         def one_error(r: int, _t: int = t, _i: int = i) -> float:
-            pair = apply_spec(a, b, SketchSpec(kind, _t, derive_seed(seed, _i, r)))
+            pair = draw(_t, derive_seed(seed, _i, r))
             return float(np.abs(pair.sketched_product - truth).max())
 
         errs = run_indexed(one_error, reps)
@@ -133,13 +168,14 @@ def coverage_probe(
         raise ValueError(f"need t >= t0 >= 1, got t0={t0}, t={t}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    draw = pair_sampler(a, b, kind)
     truth = matmul_t(a, b).array
 
     def one_trial(i: int) -> bool:
-        pair0 = apply_spec(a, b, SketchSpec(kind, t0, derive_seed(seed, i, 0)))
+        pair0 = draw(t0, derive_seed(seed, i, 0))
         est = bootstrap_quantile(pair0, replace(cfg, seed=derive_seed(cfg.seed, i)))
         bound = extrapolate(est, t)
-        pair_t = apply_spec(a, b, SketchSpec(kind, t, derive_seed(seed, i, 1)))
+        pair_t = draw(t, derive_seed(seed, i, 1))
         eps = float(np.abs(pair_t.sketched_product - truth).max())
         return eps <= bound
 

@@ -195,6 +195,17 @@ class TestExperiment:
         run_experiment(self.small_spec(tmp_path, "pooled.csv"))
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
 
+    def test_gaussian_draws_do_not_materialize_s(self, tmp_path, monkeypatch):
+        # oracle and estimator reps draw G R in Gram space (see oracle.pair_sampler)
+        from sketchguard import sketch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gaussian_sketch called")
+
+        monkeypatch.setattr(sketch, "gaussian_sketch", refuse)
+        result = run_experiment(self.small_spec(tmp_path, "gram.csv"))
+        assert all(row[1] > 0 and row[4] > 0 for row in result.rows)
+
     def test_zero_matrix_yields_zero_columns(self, tmp_path):
         spec = ExperimentSpec(
             data_source=DenseMatrix(np.zeros((32, 4))),
@@ -308,6 +319,24 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    def test_huge_libsvm_values_give_a_nonzero_curve(self, capsys, tmp_path):
+        # their Gram overflows to inf unless normalization pre-scales them
+        rows = np.random.default_rng(7).standard_normal((64, 8))
+        data = tmp_path / "huge.txt"
+        data.write_text(
+            "".join("1 " + " ".join(f"{j + 1}:{v * 1e200:.17g}" for j, v in enumerate(r)) + "\n"
+                    for r in rows),
+            encoding="utf-8",
+        )
+        out = tmp_path / "huge.csv"
+        code, _ = run_cli(
+            capsys, "experiment", "--data", str(data), "--kind", "uniform", "--t-grid", "8,16",
+            "--alpha", "0.1", "--reps", "5", "--oracle-reps", "10", "--out", str(out),
+        )
+        assert code == 0
+        for line in out.read_text().splitlines()[1:]:
+            assert all(float(v) > 0.0 for v in line.split(",")[1:])
+
     def test_numeric_error_on_zero_data(self, capsys, tmp_path):
         zero = tmp_path / "zero.txt"
         zero.write_text("1 1:0\n", encoding="utf-8")
@@ -375,9 +404,8 @@ class TestOptionTable:
             "bootstrap": common | data | {
                 "--pair", "--t0", "--t-grid", "--alpha", "--boot-samples", "--scheme",
             },
-            "plan": common | {
+            "plan": {"-h", "--help", "--config"} | {
                 "--qhat", "--epsilon", "--n", "--d", "--t0", "--alpha", "--boot-samples",
-                "--scheme",
             },
             "oracle": common | data | {"--reps", "--t-grid", "--alpha"},
             "experiment": common | data | {
@@ -465,6 +493,69 @@ class TestConfigValuesParseLikeFlags:
         assert code == EXIT_USAGE
         assert out == ""
         assert message in _caplog_message(caplog)
+
+
+class TestOptionsACommandDoesNotRead:
+    @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--scheme", "nonparametric")])
+    def test_plan_rejects_seed_and_scheme(self, capsys, flag, value):
+        code, out = run_cli(
+            capsys, "plan", "--t0", "500", "--qhat", "0.2", "--epsilon", "0.05", flag, value
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_plan_ignores_shared_config_seed(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nscheme = nonparametric\nqhat = 0.2\n", encoding="utf-8")
+        code, out = run_cli(
+            capsys, "plan", "--t0", "500", "--epsilon", "0.05", "--config", str(cfg)
+        )
+        assert code == 0
+        assert out == "t = 8000\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--synth", "512,16,high"],
+            ["--data", "x.txt"],
+            ["--kind", "srht"],
+            ["--t0", "32"],
+            ["--no-normalize"],
+            ["--synth", "512,16,high", "--kind", "srht", "--t0", "32"],
+        ],
+        ids=["synth", "data", "kind", "t0", "no-normalize", "all"],
+    )
+    def test_bootstrap_pair_rejects_data_options(self, tmp_path, capsys, caplog, extra):
+        pair_file = tmp_path / "pair.npz"
+        run_cli(
+            capsys, "sketch", "--synth", "64,8,high", "--kind", "gaussian",
+            "--t0", "8", "--seed", "5", "--out", str(pair_file),
+        )
+        code, out = run_cli(capsys, "bootstrap", "--pair", str(pair_file), *extra)
+        assert code == EXIT_USAGE
+        assert out == ""
+        message = _caplog_message(caplog)
+        for flag in (a for a in extra if a.startswith("--")):
+            assert flag in message
+
+    def test_bootstrap_pair_ignores_shared_config_data_keys(self, tmp_path, capsys, caplog):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "synth = 64,8,high\nkind = gaussian\nt0 = 8\nseed = 5\nnormalize = false\n",
+            encoding="utf-8",
+        )
+        pair_file = tmp_path / "pair.npz"
+        code, _ = run_cli(capsys, "sketch", "--config", str(cfg), "--out", str(pair_file))
+        assert code == 0
+        code, out = run_cli(capsys, "bootstrap", "--config", str(cfg), "--pair", str(pair_file))
+        assert code == 0
+        assert out == run_cli(capsys, "bootstrap", "--pair", str(pair_file), "--seed", "5")[1]
+        code, out = run_cli(
+            capsys, "bootstrap", "--config", str(cfg), "--pair", str(pair_file), "--t0", "16"
+        )
+        assert code == EXIT_USAGE
+        message = _caplog_message(caplog)
+        assert "--t0" in message and "--synth" not in message
 
 
 class TestBootstrapOut:

@@ -230,3 +230,22 @@ class TestNormalizeGramLinf:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):
             normalize_gram_linf(DenseMatrix(np.zeros((3, 2))))
+
+    def test_ordinary_input_matches_the_direct_formula_bitwise(self):
+        # the power-of-two pre-scaling is exact, so it must cancel bit for bit
+        rng = np.random.default_rng(15)
+        for scale in (1.0, 3.7, 1e-3, 1e100):
+            a = scale * rng.standard_normal((200, 7))
+            direct = a / math.sqrt(float(np.abs(a.T @ a).max()))
+            np.testing.assert_array_equal(normalize_gram_linf(DenseMatrix(a)).array, direct)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["huge", "tiny"])
+    def test_extreme_libsvm_values_normalize(self, tmp_path, scale):
+        # the Gram of these entries overflows to inf (huge) or underflows to
+        # zero (tiny); neither may turn into zeros or a zero-matrix error
+        a = np.random.default_rng(16).standard_normal((64, 8))
+        f = tmp_path / "extreme.txt"
+        libsvm_write(f, DenseMatrix(scale * a))
+        m = normalize_gram_linf(libsvm_load(f))
+        assert abs(np.abs(m.array.T @ m.array).max() - 1.0) <= 1e-12
+        np.testing.assert_allclose(m.array, normalize_gram_linf(DenseMatrix(a)).array, rtol=1e-12)

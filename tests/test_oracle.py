@@ -1,12 +1,23 @@
 """Ground-truth error, Monte-Carlo quantile curves, and coverage probes."""
 
+import math
+
 import numpy as np
 import pytest
 
+from helpers import mc_mean_check
+from sketchguard import sketch
 from sketchguard.booterr import BootstrapConfig
 from sketchguard.datagen import SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix, linf_norm, matmul_t
-from sketchguard.oracle import QuantileCurve, coverage_probe, mc_quantile_curve, true_error
+from sketchguard.oracle import (
+    QuantileCurve,
+    coverage_probe,
+    mc_quantile_curve,
+    pair_sampler,
+    true_error,
+)
+from sketchguard.rng import derive_seed
 from sketchguard.sketch import SketchKind, SketchSpec, apply_spec, row_sample_sketch
 
 
@@ -132,3 +143,86 @@ class TestCoverageProbe:
             coverage_probe(m, m, SketchKind.GAUSSIAN, 8, 4, cfg, 10, 0)
         with pytest.raises(ValueError):
             coverage_probe(m, m, SketchKind.GAUSSIAN, 2, 4, cfg, 0, 0)
+
+
+def _errors(draw, a, b, t, count, seed):
+    truth = matmul_t(a, b).array
+    return np.array([
+        float(np.abs(draw(t, derive_seed(seed, r)).sketched_product - truth).max())
+        for r in range(count)
+    ])
+
+
+def _ks_statistic(x, y):
+    """Two-sample Kolmogorov-Smirnov statistic: sup |F_x - F_y|."""
+    pooled = np.concatenate([x, y])
+    fx = np.searchsorted(np.sort(x), pooled, side="right") / len(x)
+    fy = np.searchsorted(np.sort(y), pooled, side="right") / len(y)
+    return float(np.abs(fx - fy).max())
+
+
+def _ks_critical(n, m, level=0.001):
+    """Asymptotic two-sample KS critical value at the given level."""
+    return math.sqrt(-0.5 * math.log(level / 2)) * math.sqrt((n + m) / (n * m))
+
+
+class TestGramSpaceSampler:
+    """Gaussian draws G R (R from a QR of [A B]) against materialized S."""
+
+    DRAWS = 500
+
+    def assert_same_error_law(self, a, b, t, seed):
+        gram = _errors(pair_sampler(a, b, SketchKind.GAUSSIAN), a, b, t, self.DRAWS, seed)
+        dense = _errors(
+            lambda t_, s: sketch.gaussian_sketch(a, b, t_, s), a, b, t, self.DRAWS, seed + 1
+        )
+        assert _ks_statistic(gram, dense) <= _ks_critical(self.DRAWS, self.DRAWS)
+
+    def test_error_law_matches_materialized_sketches(self):
+        a = synth_matrix(SynthProfile(256, 8, "high", 50))
+        b = synth_matrix(SynthProfile(256, 5, "high", 51))
+        self.assert_same_error_law(a, a, 16, 52)
+        self.assert_same_error_law(a, b, 16, 53)
+
+    def test_pair_shape_and_aliasing(self):
+        a = synth_matrix(SynthProfile(64, 4, "high", 54))
+        b = synth_matrix(SynthProfile(64, 3, "high", 55))
+        draw = pair_sampler(a, b, "gaussian")
+        pair = draw(6, 1)
+        assert pair.a_sketch.shape == (6, 4) and pair.b_sketch.shape == (6, 3)
+        assert pair.source_rows == 64 and pair.spec == SketchSpec("gaussian", 6, 1)
+        same = pair_sampler(a, a, "gaussian")(6, 1)
+        assert same.b_sketch is same.a_sketch
+        assert draw(6, 1).a_sketch == pair.a_sketch
+
+    @pytest.mark.parametrize("case", ["duplicate-columns", "fewer-rows-than-columns"])
+    def test_rank_deficient_input(self, case):
+        rng = np.random.default_rng(56)
+        if case == "duplicate-columns":
+            base = rng.standard_normal((64, 3))
+            a = b = DenseMatrix(np.hstack([base, base]))
+        else:
+            a = DenseMatrix(rng.standard_normal((4, 3)))
+            b = DenseMatrix(rng.standard_normal((4, 5)))
+        draw = pair_sampler(a, b, SketchKind.GAUSSIAN)
+        mc_mean_check(lambda i: draw(8, i).sketched_product, a, b, draws=2000)
+        self.assert_same_error_law(a, b, 8, 57)
+
+    def test_other_kinds_pass_through_to_apply_spec(self):
+        a = DenseMatrix(np.random.default_rng(58).standard_normal((32, 3)))
+        for kind in ("uniform", "length", "srht"):
+            drawn = pair_sampler(a, a, kind)(8, 4)
+            assert drawn.a_sketch == apply_spec(a, a, SketchSpec(kind, 8, 4)).a_sketch
+
+    def test_gaussian_oracle_does_not_materialize_s(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gaussian_sketch called")
+
+        monkeypatch.setattr(sketch, "gaussian_sketch", refuse)
+        m = synth_matrix(SynthProfile(128, 4, "high", 59))
+        curve = mc_quantile_curve(m, m, SketchKind.GAUSSIAN, [4, 8], 20, 0.1, 0)
+        assert all(v > 0 for v in curve.values)
+        cfg = BootstrapConfig("multiplier", 5, 0.1, 0)
+        assert 0.0 <= coverage_probe(m, m, SketchKind.GAUSSIAN, 4, 8, cfg, 10, 1) <= 1.0
+        with pytest.raises(AssertionError, match="gaussian_sketch called"):
+            apply_spec(m, m, SketchSpec(SketchKind.GAUSSIAN, 4, 0))
