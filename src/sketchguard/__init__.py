@@ -29,6 +29,7 @@ from .datagen import (
 )
 from .matcore import (
     DenseMatrix,
+    NonFiniteResultError,
     RankDeficiencyError,
     ZeroMatrixError,
     frobenius_norm,
@@ -59,6 +60,7 @@ __all__ = [
     "BootstrapScheme",
     "DenseMatrix",
     "LengthSamplingError",
+    "NonFiniteResultError",
     "QuantileCurve",
     "QuantileEstimate",
     "RankDeficiencyError",

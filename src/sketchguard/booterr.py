@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .matcore import check_finite_result
 from .rng import check_seed, substream
 from .sketch import SketchPair
 
@@ -137,12 +138,14 @@ def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstima
 
     Replicate b draws its weight vector from stream (cfg.seed, b), so runs
     are prefix-stable: increasing the replicate count reproduces the earlier
-    samples.
+    samples. A sample that overflows raises NonFiniteResultError.
     """
-    samples = tuple(
-        multiplier_error(pair, _weights(cfg.scheme, substream(cfg.seed, b), pair.t))
-        for b in range(cfg.replicates)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = tuple(
+            multiplier_error(pair, _weights(cfg.scheme, substream(cfg.seed, b), pair.t))
+            for b in range(cfg.replicates)
+        )
+    check_finite_result(np.asarray(samples), "a bootstrap sample")
     value = empirical_quantile(samples, 1.0 - cfg.alpha)
     return QuantileEstimate(t0=pair.t, alpha=cfg.alpha, value=value, samples=samples)
 

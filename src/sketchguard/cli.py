@@ -48,7 +48,7 @@ from .datagen import (
     normalize_gram_linf,
     synth_matrix,
 )
-from .matcore import DenseMatrix, RankDeficiencyError, ZeroMatrixError
+from .matcore import DenseMatrix, NonFiniteResultError, RankDeficiencyError, ZeroMatrixError
 from .oracle import QuantileCurve, mc_quantile_curve, pair_sampler
 from .parallel import run_indexed
 from .rng import derive_seed
@@ -524,7 +524,7 @@ def main(argv=None) -> int:
     except (LibsvmParseError, _PairFileError, OSError, UnicodeDecodeError) as exc:
         LOG.error("data error: %s", exc)
         return EXIT_DATA
-    except (RankDeficiencyError, ZeroMatrixError, LengthSamplingError) as exc:
+    except (RankDeficiencyError, ZeroMatrixError, LengthSamplingError, NonFiniteResultError) as exc:
         LOG.error("numerical failure: %s", exc)
         return EXIT_NUMERIC
     except ValueError as exc:

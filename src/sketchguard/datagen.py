@@ -9,6 +9,7 @@ form with the same normalization applied separately.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -166,7 +167,10 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
     """
     if expected_features is not None and expected_features < 1:
         raise ValueError("expected_features must be at least 1")
-    entries: list[list[tuple[int, float]]] = []
+    # Every entry's row, 1-based feature index and value as machine numbers,
+    # densified in one scatter.
+    rows, indices, values = array("q"), array("q"), array("d")
+    n_rows = 0
     max_index = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -178,7 +182,6 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
                 float(tokens[0])
             except ValueError:
                 raise MalformedTokenError(f"label {tokens[0]!r} is not a number", line_no) from None
-            feats: list[tuple[int, float]] = []
             prev = 0
             for tok in tokens[1:]:
                 idx_str, sep, val_str = tok.partition(":")
@@ -204,20 +207,20 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
                         f"feature index {idx} exceeds expected {expected_features}", line_no
                     )
                 prev = idx
-                feats.append((idx, val))
-            entries.append(feats)
+                indices.append(idx)
+                values.append(val)
+            rows.extend([n_rows] * (len(indices) - len(rows)))
+            n_rows += 1
             max_index = max(max_index, prev)
-    if not entries:
+    if not n_rows:
         raise LibsvmParseError("no data lines in file", 0)
     cols = expected_features if expected_features is not None else max_index
     if cols < 1:
         raise LibsvmParseError("no feature indices seen; pass expected_features", 0)
-    if len(entries) * cols > MAX_DENSE_ENTRIES:
+    if n_rows * cols > MAX_DENSE_ENTRIES:
         raise ValueError(
-            f"dense matrix of {len(entries)}x{cols} exceeds the {MAX_DENSE_ENTRIES} entry cap"
+            f"dense matrix of {n_rows}x{cols} exceeds the {MAX_DENSE_ENTRIES} entry cap"
         )
-    out = np.zeros((len(entries), cols))
-    for i, feats in enumerate(entries):
-        for idx, val in feats:
-            out[i, idx - 1] = val
+    out = np.zeros((n_rows, cols))
+    out[np.asarray(rows), np.asarray(indices) - 1] = values
     return DenseMatrix._wrap(out)

@@ -12,6 +12,7 @@ __all__ = [
     "DenseMatrix",
     "RankDeficiencyError",
     "ZeroMatrixError",
+    "NonFiniteResultError",
     "matmul_t",
     "linf_norm",
     "frobenius_norm",
@@ -29,6 +30,19 @@ class ZeroMatrixError(ValueError):
     """An operation undefined for the all-zero matrix received one."""
 
 
+class NonFiniteResultError(ValueError):
+    """A result computed from finite inputs is not finite: a product overflowed."""
+
+
+def check_finite_result(values: np.ndarray, what: str) -> np.ndarray:
+    """Return ``values`` if every entry is finite, else raise NonFiniteResultError."""
+    if not np.isfinite(values).all():
+        raise NonFiniteResultError(
+            f"{what} is not finite: the inputs are too large for it in float64"
+        )
+    return values
+
+
 class DenseMatrix:
     """Immutable row-major float64 matrix with at least one row and column.
 
@@ -44,9 +58,9 @@ class DenseMatrix:
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "DenseMatrix":
-        # Internal fast path: adopt an owned array without copying.
+        # Internal fast path: adopt an owned, computed array without copying.
         m = object.__new__(cls)
-        m._a = _validated(np.ascontiguousarray(a, dtype=np.float64))
+        m._a = _validated(np.ascontiguousarray(a, dtype=np.float64), computed=True)
         return m
 
     @property
@@ -80,12 +94,14 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
-def _validated(a: np.ndarray) -> np.ndarray:
+def _validated(a: np.ndarray, computed: bool = False) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix must have at least one row and one column, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if computed:
+        check_finite_result(a, "a computed matrix")
+    elif not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     a.flags.writeable = False
     return a
@@ -95,7 +111,9 @@ def matmul_t(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Return the d x d' product of a's transpose with b; rows must match."""
     if a.rows != b.rows:
         raise ValueError(f"row counts differ: {a.rows} vs {b.rows}")
-    return DenseMatrix._wrap(a.array.T @ b.array)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a.array.T @ b.array
+    return DenseMatrix._wrap(check_finite_result(product, "the exact product A^T B"))
 
 
 def linf_norm(c: DenseMatrix) -> float:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import DenseMatrix
+from .matcore import DenseMatrix, check_finite_result
 from .rng import check_seed, substream
 
 __all__ = [
@@ -37,6 +37,10 @@ __all__ = [
 # Gaussian S is materialized in one piece only up to this many entries;
 # larger operators are generated and applied in row blocks.
 MAX_MATERIALIZED_ENTRIES = 1 << 24
+
+# srht_sketch computes its stage-1 intermediate in blocks of at most this many
+# entries (at least one high part's block of n2 rows).
+MAX_SRHT_STAGE_ENTRIES = 1 << 17
 
 
 class LengthSamplingError(ValueError):
@@ -90,7 +94,9 @@ class SketchPair:
     @cached_property
     def sketched_product(self) -> np.ndarray:
         """Read-only cached product of a_sketch's transpose with b_sketch."""
-        p = self.a_sketch.array.T @ self.b_sketch.array
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = self.a_sketch.array.T @ self.b_sketch.array
+        check_finite_result(p, "the sketched product")
         p.flags.writeable = False
         return p
 
@@ -203,34 +209,66 @@ def fwht_in_place(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _hadamard_rows(n: int, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the n x n Walsh-Hadamard matrix.
+
+    The matrix is symmetric, so its rows are the transforms of one-hot columns.
+    """
+    onehot = np.zeros((n, rows.size))
+    onehot[rows, np.arange(rows.size)] = 1.0
+    return fwht_in_place(onehot).T
+
+
 def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair:
     """Subsampled randomized Hadamard transform sketch of the pair.
 
-    Zero-pads to the next power of two n_pad, flips row signs by a Rademacher
-    diagonal drawn from stream (seed, 0), applies the orthogonal Hadamard
-    transform (fast path, no S materialized), and keeps t rows sampled
-    uniformly with replacement from stream (seed, 1), rescaled by
-    sqrt(n_pad / t). Total cost is order n_pad * (cols_a + cols_b) * log n_pad.
+    The operator is sqrt(n_pad / t) P H D / sqrt(n_pad) on the rows zero-padded
+    to the next power of two n_pad: D is a Rademacher diagonal drawn from
+    stream (seed, 0), H the Walsh-Hadamard matrix, and P keeps t rows sampled
+    uniformly with replacement from stream (seed, 1).
+
+    Only the t kept rows of H D [A B] are computed. Row j = j1 n2 + j2 splits
+    into high and low bits, n_pad = n1 n2 with n2 = 2^floor(log2(n_pad) / 2),
+    so H = H_{n1} kron H_{n2}. Stage 1 multiplies the H_{n1} rows of the
+    distinct high parts into the signed data, viewed as ceil(n / n2) blocks of
+    n2 rows; stage 2 multiplies each kept row's H_{n2} row into its high
+    part's block. Both are GEMMs, of O(k (min(t, n1) n + t n2)) flops for k
+    columns in all, and no padded n_pad-row array is formed. Stage 1 holds at
+    most MAX_SRHT_STAGE_ENTRIES entries, or one high part's n2 k, at a time.
     """
     spec = SketchSpec(SketchKind.SRHT, t, seed)
     n = _check_pair_inputs(a, b)
     n_pad = 1 << (n - 1).bit_length()
     signs = substream(seed, 0).integers(0, 2, n_pad) * 2 - 1
     idx = substream(seed, 1).integers(0, n_pad, t)
-    cols = a.cols if b is a else a.cols + b.cols
-    work = np.zeros((n_pad, cols))
-    work[:n, : a.cols] = a.array
-    if b is not a:
-        work[:n, a.cols :] = b.array
-    work[:n] *= signs[:n, None]
-    fwht_in_place(work)
-    work *= 1.0 / math.sqrt(n_pad)
-    kept = work[idx] * math.sqrt(n_pad / t)
-    a_sk = DenseMatrix._wrap(kept[:, : a.cols])
-    if b is a:
-        b_sk = a_sk
-    else:
-        b_sk = DenseMatrix._wrap(kept[:, a.cols :])
+    n2 = 1 << ((n_pad.bit_length() - 1) // 2)
+    blocks = -(-n // n2)
+    highs, group = np.unique(idx // n2, return_inverse=True)
+    lows, low_row = np.unique(idx % n2, return_inverse=True)
+    h1 = _hadamard_rows(n_pad // n2, highs)[:, :blocks]
+    h2 = _hadamard_rows(n2, lows)
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(highs.size + 1))
+    scale = (signs[:n] * (1.0 / math.sqrt(t)))[:, None]
+
+    def kept(x: np.ndarray) -> np.ndarray:
+        k = x.shape[1]
+        signed = np.zeros((blocks * n2, k))
+        np.multiply(x, scale, out=signed[:n])
+        signed = signed.reshape(blocks, n2 * k)
+        out = np.empty((t, k))
+        step = max(1, MAX_SRHT_STAGE_ENTRIES // (n2 * k))
+        for lo in range(0, highs.size, step):
+            stage = h1[lo : lo + step] @ signed
+            for g in range(lo, min(lo + step, highs.size)):
+                rows = order[starts[g] : starts[g + 1]]
+                out[rows] = h2[low_row[rows]] @ stage[g - lo].reshape(n2, k)
+        return out
+
+    # A and B go through separate GEMMs of the same shapes, so equal inputs
+    # give bitwise-equal sketches.
+    a_sk = DenseMatrix._wrap(kept(a.array))
+    b_sk = a_sk if b is a else DenseMatrix._wrap(kept(b.array))
     return SketchPair(a_sk, b_sk, spec, n)
 
 

@@ -17,7 +17,7 @@ from sketchguard.booterr import (
     multiplier_error,
     plan_sketch_size,
 )
-from sketchguard.matcore import DenseMatrix
+from sketchguard.matcore import DenseMatrix, NonFiniteResultError
 from sketchguard.rng import substream
 from sketchguard.sketch import SketchKind, SketchPair, SketchSpec, gaussian_sketch
 
@@ -72,6 +72,16 @@ class TestMultiplierSample:
         pair = make_pair(4, 2, 2)
         with pytest.raises(ValueError):
             multiplier_error(pair, np.zeros(3))
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    def test_overflowing_sample_raises(self, scheme):
+        rng = np.random.default_rng(4)
+        big = DenseMatrix(rng.standard_normal((8, 2)) * 1e160)
+        pair = SketchPair(big, big, SketchSpec(SketchKind.GAUSSIAN, 8, 0), 8)
+        with pytest.raises(NonFiniteResultError, match="bootstrap sample"):
+            bootstrap_quantile(pair, BootstrapConfig(scheme, 5, 0.1, 3))
 
 
 class TestNonparametricSample:

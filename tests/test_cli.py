@@ -337,6 +337,44 @@ class TestExitCodes:
         for line in out.read_text().splitlines()[1:]:
             assert all(float(v) > 0.0 for v in line.split(",")[1:])
 
+    @staticmethod
+    def overflow_data(tmp_path):
+        # finite entries whose products overflow once normalization is skipped
+        rows = np.random.default_rng(8).standard_normal((64, 8))
+        data = tmp_path / "overflow.txt"
+        data.write_text(
+            "".join("1 " + " ".join(f"{j + 1}:{v * 1e160:.17g}" for j, v in enumerate(r)) + "\n"
+                    for r in rows),
+            encoding="utf-8",
+        )
+        return str(data)
+
+    @pytest.mark.parametrize("kind", ["uniform", "srht", "gaussian", "length"])
+    def test_overflow_without_normalization_is_numeric(self, capsys, caplog, tmp_path, kind):
+        code, _ = run_cli(
+            capsys, "experiment", "--data", self.overflow_data(tmp_path), "--no-normalize",
+            "--kind", kind, "--t-grid", "8,16", "--reps", "2", "--oracle-reps", "10",
+            "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == EXIT_NUMERIC
+        assert "numerical failure: the exact product A^T B is not finite" in caplog.text
+
+    @pytest.mark.parametrize("kind", ["uniform", "srht", "gaussian"])
+    def test_overflowing_bootstrap_is_numeric(self, capsys, caplog, tmp_path, kind):
+        code, _ = run_cli(
+            capsys, "bootstrap", "--data", self.overflow_data(tmp_path), "--no-normalize",
+            "--kind", kind, "--t0", "16",
+        )
+        assert code == EXIT_NUMERIC
+        assert "numerical failure: a bootstrap sample is not finite" in caplog.text
+
+    def test_overflowing_oracle_is_numeric(self, capsys, tmp_path):
+        code, _ = run_cli(
+            capsys, "oracle", "--data", self.overflow_data(tmp_path), "--no-normalize",
+            "--kind", "srht", "--t-grid", "8", "--reps", "10",
+        )
+        assert code == EXIT_NUMERIC
+
     def test_numeric_error_on_zero_data(self, capsys, tmp_path):
         zero = tmp_path / "zero.txt"
         zero.write_text("1 1:0\n", encoding="utf-8")

@@ -1,12 +1,14 @@
 """Dense-matrix foundation tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sketchguard.matcore import (
     DenseMatrix,
+    NonFiniteResultError,
     RankDeficiencyError,
     ZeroMatrixError,
     frobenius_norm,
@@ -94,6 +96,24 @@ class TestMatmulT:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             matmul_t(DenseMatrix(np.ones((3, 2))), DenseMatrix(np.ones((4, 2))))
+
+
+class TestNonFiniteResults:
+    def test_overflowing_product_raises_without_a_warning(self):
+        a = DenseMatrix(np.full((4, 2), 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="product A\\^T B is not finite"):
+                matmul_t(a, a)
+
+    def test_product_at_the_edge_of_range_is_kept(self):
+        a = DenseMatrix(np.full((4, 1), 1e153))
+        assert matmul_t(a, a).array[0, 0] == pytest.approx(4e306)
+
+    def test_non_finite_input_stays_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="must be finite") as exc:
+            DenseMatrix([[1.0, math.inf]])
+        assert not isinstance(exc.value, NonFiniteResultError)
 
 
 class TestNorms:

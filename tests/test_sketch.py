@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sketchguard.matcore import DenseMatrix, matmul_t
+from sketchguard.matcore import DenseMatrix, NonFiniteResultError, matmul_t
 from sketchguard.rng import substream
 from sketchguard.sketch import (
     LengthSamplingError,
     SketchKind,
+    SketchPair,
     SketchSpec,
     apply_spec,
     fwht_in_place,
@@ -235,6 +236,105 @@ class TestSRHT:
         mc_mean_check(
             lambda i: srht_sketch(a, a, 6, i).sketched_product, a, a, draws=5000
         )
+
+
+def butterfly_srht(x: np.ndarray, t: int, seed: int) -> np.ndarray:
+    """SRHT by the full butterfly: sign-flip, pad, transform every row, keep t."""
+    n = x.shape[0]
+    n_pad = 1 << (n - 1).bit_length()
+    signs = substream(seed, 0).integers(0, 2, n_pad) * 2 - 1
+    idx = substream(seed, 1).integers(0, n_pad, t)
+    work = np.zeros((n_pad, x.shape[1]))
+    work[:n] = x * signs[:n, None]
+    fwht_in_place(work)
+    return work[idx] / math.sqrt(t)
+
+
+class TestPrunedSRHT:
+    """srht_sketch computes only the kept rows; it must equal the full transform."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 12, 100])
+    @pytest.mark.parametrize("t", [1, 5, 300])
+    def test_matches_explicit_operator(self, n, t):
+        # t = 300 exceeds every n_pad here, so rows repeat
+        rng = np.random.default_rng(n * 1000 + t)
+        a = rng.standard_normal((n, 4))
+        b = rng.standard_normal((n, 3))
+        pair = srht_sketch(DenseMatrix(a), DenseMatrix(b), t, 31)
+        for got, x in ((pair.a_sketch.array, a), (pair.b_sketch.array, b)):
+            want = explicit_srht_apply(x, t, 31)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("n,t", [(1, 3), (17, 40), (1000, 75), (8193, 640)])
+    def test_twin_inputs_give_bitwise_equal_sketches(self, n, t):
+        raw = np.random.default_rng(n).standard_normal((n, 5))
+        pair = srht_sketch(DenseMatrix(raw), DenseMatrix(raw.copy()), t, 8)
+        assert np.array_equal(pair.a_sketch.array, pair.b_sketch.array)
+        alone = srht_sketch(DenseMatrix(raw), DenseMatrix(raw), t, 8)
+        assert np.array_equal(pair.a_sketch.array, alone.a_sketch.array)
+
+    @pytest.mark.parametrize("t", [1, 32, 640])
+    def test_agrees_with_butterfly_on_8193_rows(self, t):
+        rng = np.random.default_rng(t)
+        a = rng.standard_normal((8193, 16))
+        b = rng.standard_normal((8193, 3))
+        pair = srht_sketch(DenseMatrix(a), DenseMatrix(b), t, 12)
+        for got, x in ((pair.a_sketch.array, a), (pair.b_sketch.array, b)):
+            want = butterfly_srht(x, t, 12)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_stage_blocking_does_not_change_the_sketch(self, monkeypatch):
+        from sketchguard import sketch
+
+        a = DenseMatrix(np.random.default_rng(3).standard_normal((1000, 6)))
+        whole = srht_sketch(a, a, 200, 4).a_sketch.array
+        monkeypatch.setattr(sketch, "MAX_SRHT_STAGE_ENTRIES", 1)
+        one_high_part_at_a_time = srht_sketch(a, a, 200, 4).a_sketch.array
+        np.testing.assert_allclose(one_high_part_at_a_time, whole, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(whole, butterfly_srht(a.array, 200, 4), rtol=0, atol=1e-12)
+
+    def test_fwht_builds_the_hadamard_rows(self, monkeypatch):
+        # one source of Hadamard entries: the SRHT path transforms one-hot columns
+        from sketchguard import sketch
+
+        calls = []
+        real = sketch.fwht_in_place
+
+        def counted(values):
+            calls.append(values.shape)
+            return real(values)
+
+        monkeypatch.setattr(sketch, "fwht_in_place", counted)
+        srht_sketch(DenseMatrix(np.ones((8193, 2))), DenseMatrix(np.ones((8193, 2))), 9, 0)
+        assert len(calls) == 2
+        assert sorted(shape[0] for shape in calls) == [128, 128]
+
+    def test_experiment_csv_does_not_depend_on_thread_count(self, tmp_path, monkeypatch):
+        from sketchguard.cli import main
+
+        argv = ["experiment", "--synth", "1025,8,high", "--kind", "srht", "--t-grid", "4,16,64",
+                "--alpha", "0.1", "--oracle-reps", "20", "--reps", "10", "--seed", "3"]
+        monkeypatch.setenv("SKETCHGUARD_THREADS", "1")
+        assert main(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
+        monkeypatch.setenv("SKETCHGUARD_THREADS", "2")
+        assert main(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
+class TestNonFiniteSketches:
+    def test_overflowing_sketched_product_raises(self):
+        big = DenseMatrix(np.full((4, 2), 1e160))
+        pair = SketchPair(big, big, SketchSpec(SketchKind.GAUSSIAN, 4, 0), 8)
+        with pytest.raises(NonFiniteResultError, match="sketched product"):
+            pair.sketched_product
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sketch_raises(self):
+        # row sampling rescales by sqrt(n / t) = 2, past the largest double; numpy
+        # warns about the overflow before the sketch's check raises
+        a = DenseMatrix(np.full((8, 1), 1e308))
+        with pytest.raises(NonFiniteResultError):
+            apply_spec(a, a, SketchSpec(SketchKind.UNIFORM_SAMPLE, 2, 0))
 
 
 class TestApplySpec:
