@@ -15,7 +15,8 @@ flag's, and ``normalize = false`` means ``--no-normalize``. ``bootstrap
 (config keys for them are ignored).
 Logs go to standard error; results go to stdout or the ``--out`` file.
 Exit codes: 0 success, 2 usage or spec error, 3 data error (including a
-``--pair`` file that is not a stored sketch pair), 4 numerical failure.
+``--pair`` file that is not a stored sketch pair), 4 numerical failure
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -156,13 +157,13 @@ class ExperimentResult:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Oracle curve, repeated extrapolated estimates, and the curve CSV.
 
-    Draws ``oracle_reps`` sketch realizations per grid t for the ground-truth
-    quantile, then ``estimator_reps`` independent t0-sketches, bootstrapping
-    each and extrapolating across the grid. Both draw through the oracle's
-    ``pair_sampler``: the bootstrap sees only the sketch rows, whose law that
-    sampler keeps. Writes ``spec.out`` when set: one row per t with the
-    oracle value and its 10%/90% bands next to the mean extrapolated estimate
-    and its 10%/90% percentiles.
+    Draws ``oracle_reps`` sketch realizations, each serving every grid t, for
+    the ground-truth quantile, then ``estimator_reps`` independent
+    t0-sketches, bootstrapping each and extrapolating across the grid. Both
+    draw through the oracle's ``pair_sampler``: the bootstrap sees only the
+    sketch rows, whose law that sampler keeps. Writes ``spec.out`` when set:
+    one row per t with the oracle value and its 10%/90% bands next to the
+    mean extrapolated estimate and its 10%/90% percentiles.
     """
     spec.validate()
     matrix = spec.data_source
@@ -526,6 +527,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (RankDeficiencyError, ZeroMatrixError, LengthSamplingError, NonFiniteResultError) as exc:
         LOG.error("numerical failure: %s", exc)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        LOG.error("numerical failure: out of memory (%r)", exc)
         return EXIT_NUMERIC
     except ValueError as exc:
         LOG.error("%s", exc)

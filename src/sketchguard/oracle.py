@@ -20,10 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .booterr import BootstrapConfig, bootstrap_quantile, empirical_quantile, extrapolate
-from .matcore import DenseMatrix, linf_norm, matmul_t
+from .matcore import DenseMatrix, check_finite_result, linf_norm, matmul_t
 from .parallel import run_indexed
 from .rng import derive_seed, substream
-from .sketch import SketchKind, SketchPair, SketchSpec, apply_spec
+from .sketch import (
+    SketchKind, SketchPair, SketchSpec, apply_spec, length_sampling_probs, row_sample_sketch,
+)
 
 __all__ = ["QuantileCurve", "true_error", "mc_quantile_curve", "coverage_probe"]
 
@@ -79,9 +81,13 @@ def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
     For Gaussian sketches the pair is ``G R`` (see the module docstring), with
     G drawn from the stream (seed, 0); it has the law of ``gaussian_sketch``'s
     pair, not its bits. R comes from one QR of the data, which need not have
-    full rank. Every other kind is ``apply_spec`` itself.
+    full rank. Length sampling computes its probabilities once, here. Every
+    other kind is ``apply_spec`` itself.
     """
     kind = SketchKind(kind)
+    if kind is SketchKind.LENGTH_SAMPLE:
+        probs = length_sampling_probs(a, b)
+        return lambda t, seed: row_sample_sketch(a, b, probs, t, seed, kind=kind)
     if kind is not SketchKind.GAUSSIAN:
         return lambda t, seed: apply_spec(a, b, SketchSpec(kind, t, seed))
     if a.rows != b.rows:
@@ -112,11 +118,15 @@ def mc_quantile_curve(
 ) -> QuantileCurve:
     """Monte-Carlo estimate of the (1 - alpha) error quantile over a t grid.
 
-    For each t, draws ``reps`` independent sketch pairs from ``pair_sampler``
-    (realization r of grid entry i is seeded from (seed, i, r)) and records
-    the interpolated sample quantile of the realized errors, plus percentile
-    bands (defaults 10% and 90%). The quantile value sits inside the bands
-    only when 1-alpha lies between the band percentiles.
+    Draws ``reps`` independent sketch pairs from ``pair_sampler`` at the
+    largest grid size t_max, realization r seeded from (seed, r). Every kind's
+    sketch is t i.i.d. rows scaled by 1/sqrt(t), so the first t rows of a
+    draw, rescaled by sqrt(t_max / t), are an exact draw at size t: one
+    realization serves every grid t. Each t's error therefore has its exact
+    law, while errors at different t of one realization are correlated.
+    Records per t the interpolated sample quantile of the realized errors,
+    plus percentile bands (defaults 10% and 90%). The quantile value sits
+    inside the bands only when 1-alpha lies between the band percentiles.
     """
     if reps < 10:
         raise ValueError(f"need at least 10 realizations per t, got {reps}")
@@ -126,23 +136,23 @@ def mc_quantile_curve(
     lo_p, hi_p = band_percentiles
     if not 0.0 < lo_p < hi_p < 1.0:
         raise ValueError(f"band percentiles must satisfy 0 < lo < hi < 1, got {band_percentiles}")
+    truth = matmul_t(a, b).array  # first, so an overflowing A^T B is what gets reported
     draw = pair_sampler(a, b, kind)
-    truth = matmul_t(a, b).array
-    points, lows, highs = [], [], []
-    for i, t in enumerate(grid):
-        def one_error(r: int, _t: int = t, _i: int = i) -> float:
-            pair = draw(_t, derive_seed(seed, _i, r))
-            return float(np.abs(pair.sketched_product - truth).max())
+    t_max = grid[-1]
 
-        errs = run_indexed(one_error, reps)
-        points.append((t, empirical_quantile(errs, 1.0 - alpha)))
-        lows.append(empirical_quantile(errs, lo_p))
-        highs.append(empirical_quantile(errs, hi_p))
+    def errors(r: int) -> list[float]:
+        pair = draw(t_max, derive_seed(seed, r))
+        xa, xb = pair.a_sketch.array, pair.b_sketch.array
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [float(np.abs((xa[:t].T @ xb[:t]) * (t_max / t) - truth).max()) for t in grid]
+
+    errs = check_finite_result(np.array(run_indexed(errors, reps)), "a sketching error")
+    cols = errs.T
     return QuantileCurve(
         alpha=alpha,
-        points=tuple(points),
-        band_low=tuple(lows),
-        band_high=tuple(highs),
+        points=tuple((t, empirical_quantile(e, 1.0 - alpha)) for t, e in zip(grid, cols)),
+        band_low=tuple(empirical_quantile(e, lo_p) for e in cols),
+        band_high=tuple(empirical_quantile(e, hi_p) for e in cols),
         reps=reps,
     )
 

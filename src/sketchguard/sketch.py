@@ -139,11 +139,12 @@ def length_sampling_probs(a: DenseMatrix, b: DenseMatrix) -> np.ndarray:
 
     p_i is the product of the Euclidean norms of row i of a and row i of b,
     normalized to sum to 1. Raises LengthSamplingError when all products are
-    zero (a or b is the zero matrix).
+    zero (a or b is the zero matrix), NonFiniteResultError when they overflow.
     """
     _check_pair_inputs(a, b)
-    w = np.linalg.norm(a.array, axis=1) * np.linalg.norm(b.array, axis=1)
-    total = float(w.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.linalg.norm(a.array, axis=1) * np.linalg.norm(b.array, axis=1)
+        total = float(check_finite_result(w.sum(), "the sum of length-sampling weights"))
     if total == 0.0:
         raise LengthSamplingError("all row-norm products are zero; length sampling undefined")
     return w / total
@@ -179,12 +180,9 @@ def row_sample_sketch(
     u = substream(seed, 0).random(t)
     idx = np.searchsorted(cum, u, side="right")
     scale = 1.0 / np.sqrt(t * p[idx])
-    out_a = a.array[idx] * scale[:, None]
-    a_sk = DenseMatrix._wrap(out_a)
-    if b is a:
-        b_sk = a_sk
-    else:
-        b_sk = DenseMatrix._wrap(b.array[idx] * scale[:, None])
+    with np.errstate(over="ignore"):  # an overflowing row raises NonFiniteResultError in _wrap
+        a_sk = DenseMatrix._wrap(a.array[idx] * scale[:, None])
+        b_sk = a_sk if b is a else DenseMatrix._wrap(b.array[idx] * scale[:, None])
     return SketchPair(a_sk, b_sk, spec, n)
 
 

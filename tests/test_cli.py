@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sketchguard import cli
 from sketchguard.booterr import BootstrapConfig, BootstrapScheme, bootstrap_quantile
 from sketchguard.cli import (
     CSV_HEADER,
@@ -359,14 +360,16 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "numerical failure: the exact product A^T B is not finite" in caplog.text
 
-    @pytest.mark.parametrize("kind", ["uniform", "srht", "gaussian"])
+    @pytest.mark.parametrize("kind", ["uniform", "srht", "gaussian", "length"])
     def test_overflowing_bootstrap_is_numeric(self, capsys, caplog, tmp_path, kind):
         code, _ = run_cli(
             capsys, "bootstrap", "--data", self.overflow_data(tmp_path), "--no-normalize",
             "--kind", kind, "--t0", "16",
         )
         assert code == EXIT_NUMERIC
-        assert "numerical failure: a bootstrap sample is not finite" in caplog.text
+        # length sampling fails earlier, on the weights it draws rows by
+        what = "the sum of length-sampling weights" if kind == "length" else "a bootstrap sample"
+        assert f"numerical failure: {what} is not finite" in caplog.text
 
     def test_overflowing_oracle_is_numeric(self, capsys, tmp_path):
         code, _ = run_cli(
@@ -374,6 +377,19 @@ class TestExitCodes:
             "--kind", "srht", "--t-grid", "8", "--reps", "10",
         )
         assert code == EXIT_NUMERIC
+
+    def test_memory_error_is_numeric(self, capsys, caplog, monkeypatch):
+        def exhausted(profile):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(cli, "synth_matrix", exhausted)
+        code, _ = run_cli(
+            capsys, "oracle", "--synth", "64,8,high", "--kind", "gaussian", "--reps", "10",
+        )
+        assert code == EXIT_NUMERIC
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "numerical failure: out of memory (MemoryError('Unable to allocate 8.00 EiB'))"
+        ]
 
     def test_numeric_error_on_zero_data(self, capsys, tmp_path):
         zero = tmp_path / "zero.txt"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import mc_mean_check
-from sketchguard import sketch
+from sketchguard import oracle, sketch
 from sketchguard.booterr import BootstrapConfig
+from sketchguard.cli import main
 from sketchguard.datagen import SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix, linf_norm, matmul_t
 from sketchguard.oracle import (
@@ -226,3 +227,70 @@ class TestGramSpaceSampler:
         assert 0.0 <= coverage_probe(m, m, SketchKind.GAUSSIAN, 4, 8, cfg, 10, 1) <= 1.0
         with pytest.raises(AssertionError, match="gaussian_sketch called"):
             apply_spec(m, m, SketchSpec(SketchKind.GAUSSIAN, 4, 0))
+
+
+class TestNestedOracle:
+    """One draw at t_max serves every grid t: its rescaled prefix is a draw at t."""
+
+    @pytest.mark.parametrize("kind", list(SketchKind))
+    def test_rescaled_prefix_equals_a_draw_at_t(self, kind):
+        rng = np.random.default_rng(60)
+        a = DenseMatrix(rng.standard_normal((100, 4)))
+        b = DenseMatrix(rng.standard_normal((100, 3)))
+        draw = pair_sampler(a, b, kind)
+        t_max = 40
+        big = draw(t_max, 61)
+        for t in (1, 7, 16, t_max):
+            small = draw(t, 61)
+            for prefix, sk in ((big.a_sketch, small.a_sketch), (big.b_sketch, small.b_sketch)):
+                rescaled = prefix.array[:t] * math.sqrt(t_max / t)
+                assert np.abs(rescaled - sk.array).max() <= 1e-12 * np.abs(sk.array).max()
+
+    @pytest.mark.parametrize("kind", ["srht", "length"])
+    def test_nested_errors_match_independent_draws_in_law(self, kind, monkeypatch):
+        # capture the per-t error columns mc_quantile_curve takes its quantiles of
+        a = synth_matrix(SynthProfile(200, 8, "high", 62))
+        b = synth_matrix(SynthProfile(200, 5, "high", 63))
+        alpha, draws = 0.2, TestGramSpaceSampler.DRAWS
+        columns = []
+        quantile = oracle.empirical_quantile
+
+        def capture(samples, p):
+            if p == 1.0 - alpha:
+                columns.append(np.array(samples))
+            return quantile(samples, p)
+
+        monkeypatch.setattr(oracle, "empirical_quantile", capture)
+        mc_quantile_curve(a, b, kind, [4, 16], draws, alpha, 64)
+        assert len(columns) == 2
+        draw = pair_sampler(a, b, kind)
+        for t, nested in zip((4, 16), columns):
+            fresh = _errors(draw, a, b, t, draws, 65)
+            assert _ks_statistic(nested, fresh) <= _ks_critical(draws, draws)
+
+    def test_one_draw_per_realization_at_t_max(self, monkeypatch):
+        calls = []
+        sampler = oracle.pair_sampler
+
+        def counting(a, b, kind):
+            draw = sampler(a, b, kind)
+
+            def counted(t, seed):
+                calls.append((t, seed))
+                return draw(t, seed)
+
+            return counted
+
+        monkeypatch.setattr(oracle, "pair_sampler", counting)
+        m = synth_matrix(SynthProfile(64, 4, "high", 66))
+        mc_quantile_curve(m, m, SketchKind.SRHT, [8, 4, 16], 12, 0.1, 67)
+        assert sorted(calls) == sorted((16, derive_seed(67, r)) for r in range(12))
+
+    def test_srht_curve_bytes_do_not_depend_on_thread_count(self, monkeypatch, tmp_path):
+        argv = ["oracle", "--synth", "1025,8,high", "--kind", "srht", "--t-grid", "4,16,64",
+                "--alpha", "0.1", "--reps", "30", "--seed", "3"]
+        monkeypatch.setenv("SKETCHGUARD_THREADS", "1")
+        assert main(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
+        monkeypatch.setenv("SKETCHGUARD_THREADS", "2")
+        assert main(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()

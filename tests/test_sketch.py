@@ -1,6 +1,7 @@
 """Sketching operator tests: determinism, unbiasedness, and fast-path exactness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,13 +329,21 @@ class TestNonFiniteSketches:
         with pytest.raises(NonFiniteResultError, match="sketched product"):
             pair.sketched_product
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sketch_raises(self):
-        # row sampling rescales by sqrt(n / t) = 2, past the largest double; numpy
-        # warns about the overflow before the sketch's check raises
+        # row sampling rescales by sqrt(n / t) = 2, past the largest double
         a = DenseMatrix(np.full((8, 1), 1e308))
-        with pytest.raises(NonFiniteResultError):
-            apply_spec(a, a, SketchSpec(SketchKind.UNIFORM_SAMPLE, 2, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError):
+                apply_spec(a, a, SketchSpec(SketchKind.UNIFORM_SAMPLE, 2, 0))
+
+    def test_overflowing_length_weights_raise(self):
+        # every weight is about 1e308, finite, but their sum is not
+        a = DenseMatrix(np.full((8, 1), 1e154))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="length-sampling weights"):
+                length_sampling_probs(a, a)
 
 
 class TestApplySpec:
