@@ -525,11 +525,10 @@ def main(argv=None) -> int:
     except (LibsvmParseError, _PairFileError, OSError, UnicodeDecodeError) as exc:
         LOG.error("data error: %s", exc)
         return EXIT_DATA
-    except (RankDeficiencyError, ZeroMatrixError, LengthSamplingError, NonFiniteResultError) as exc:
-        LOG.error("numerical failure: %s", exc)
-        return EXIT_NUMERIC
-    except MemoryError as exc:
-        LOG.error("numerical failure: out of memory (%r)", exc)
+    except (
+        RankDeficiencyError, ZeroMatrixError, LengthSamplingError, NonFiniteResultError, MemoryError
+    ) as exc:
+        LOG.error("numerical failure: %s", str(exc) or type(exc).__name__)
         return EXIT_NUMERIC
     except ValueError as exc:
         LOG.error("%s", exc)

@@ -378,9 +378,15 @@ class TestExitCodes:
         )
         assert code == EXIT_NUMERIC
 
-    def test_memory_error_is_numeric(self, capsys, caplog, monkeypatch):
+    @pytest.mark.parametrize(
+        "error, logged",
+        [(MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
+         (MemoryError(), "MemoryError")],
+        ids=["with-message", "bare"],
+    )
+    def test_memory_error_is_numeric(self, capsys, caplog, monkeypatch, error, logged):
         def exhausted(profile):
-            raise MemoryError("Unable to allocate 8.00 EiB")
+            raise error
 
         monkeypatch.setattr(cli, "synth_matrix", exhausted)
         code, _ = run_cli(
@@ -388,7 +394,7 @@ class TestExitCodes:
         )
         assert code == EXIT_NUMERIC
         assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-            "numerical failure: out of memory (MemoryError('Unable to allocate 8.00 EiB'))"
+            f"numerical failure: {logged}"
         ]
 
     def test_numeric_error_on_zero_data(self, capsys, tmp_path):
