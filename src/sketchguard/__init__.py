@@ -27,19 +27,8 @@ from .datagen import (
     singular_value_profile,
     synth_matrix,
 )
-from .matcore import (
-    DenseMatrix,
-    NonFiniteResultError,
-    RankDeficiencyError,
-    ZeroMatrixError,
-    frobenius_norm,
-    linf_norm,
-    matmul_t,
-    reduced_qr,
-    spectral_norm,
-    stable_rank,
-)
-from .oracle import QuantileCurve, coverage_probe, mc_quantile_curve, true_error
+from .matcore import DenseMatrix, NonFiniteResultError, ZeroMatrixError, matmul_t
+from .oracle import QuantileCurve, coverage_probe, mc_quantile_curve
 from .sketch import (
     LengthSamplingError,
     SketchKind,
@@ -63,7 +52,6 @@ __all__ = [
     "NonFiniteResultError",
     "QuantileCurve",
     "QuantileEstimate",
-    "RankDeficiencyError",
     "RankMode",
     "SketchKind",
     "SketchPair",
@@ -76,24 +64,18 @@ __all__ = [
     "coverage_probe",
     "empirical_quantile",
     "extrapolate",
-    "frobenius_norm",
     "fwht_in_place",
     "gaussian_sketch",
     "length_sampling_probs",
     "libsvm_load",
-    "linf_norm",
     "matmul_t",
     "mc_quantile_curve",
     "multiplier_error",
     "mvt_rows",
     "normalize_gram_linf",
     "plan_sketch_size",
-    "reduced_qr",
     "row_sample_sketch",
     "singular_value_profile",
-    "spectral_norm",
     "srht_sketch",
-    "stable_rank",
     "synth_matrix",
-    "true_error",
 ]

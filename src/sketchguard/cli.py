@@ -49,7 +49,7 @@ from .datagen import (
     normalize_gram_linf,
     synth_matrix,
 )
-from .matcore import DenseMatrix, NonFiniteResultError, RankDeficiencyError, ZeroMatrixError
+from .matcore import DenseMatrix, NonFiniteResultError, ZeroMatrixError
 from .oracle import QuantileCurve, mc_quantile_curve, pair_sampler
 from .parallel import run_indexed
 from .rng import derive_seed
@@ -272,9 +272,9 @@ def _to_grid(s: str) -> tuple[int, ...]:
         grid = tuple(int(p) for p in s.split(",") if p.strip())
     except ValueError:
         grid = ()
-    if not grid:
+    if not grid or min(grid) < 1:
         raise argparse.ArgumentTypeError(
-            f"t-grid must be a comma-separated list of integers, got {s!r}"
+            f"t-grid must be a comma-separated list of integers of at least 1, got {s!r}"
         )
     return grid
 
@@ -525,9 +525,7 @@ def main(argv=None) -> int:
     except (LibsvmParseError, _PairFileError, OSError, UnicodeDecodeError) as exc:
         LOG.error("data error: %s", exc)
         return EXIT_DATA
-    except (
-        RankDeficiencyError, ZeroMatrixError, LengthSamplingError, NonFiniteResultError, MemoryError
-    ) as exc:
+    except (ZeroMatrixError, LengthSamplingError, NonFiniteResultError, MemoryError) as exc:
         LOG.error("numerical failure: %s", str(exc) or type(exc).__name__)
         return EXIT_NUMERIC
     except ValueError as exc:

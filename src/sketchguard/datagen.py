@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .matcore import DenseMatrix, RankDeficiencyError, ZeroMatrixError, reduced_qr
+from .matcore import DenseMatrix, ZeroMatrixError
 from .rng import check_seed, derive_seed, substream
 
 __all__ = [
@@ -113,30 +113,26 @@ def singular_value_profile(mode: RankMode, d: int) -> np.ndarray:
     return np.linspace(1.0, 0.1, d)
 
 
+def _signed_q(x: np.ndarray) -> np.ndarray:
+    """Q factor of the reduced QR of x, signed so that R has a nonnegative diagonal."""
+    q, r = np.linalg.qr(x)
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
 def synth_matrix(profile: SynthProfile) -> DenseMatrix:
     """Synthetic n x d matrix with the profile's singular values.
 
     Built as U diag(sigma) V^T where U is the Q factor of the reduced QR of a
     heavy-tailed random matrix, V the Q factor of a square standard normal
     matrix, and sigma from singular_value_profile; the result is scaled so
-    the max-abs entry of its Gram matrix is 1. Rank-deficient draws (near
-    zero probability) are retried up to 3 times.
+    the max-abs entry of its Gram matrix is 1. Both random matrices have full
+    column rank with probability one.
     """
     sigma = singular_value_profile(profile.rank_mode, profile.d)
-    last: RankDeficiencyError | None = None
-    for attempt in range(3):
-        try:
-            x = mvt_rows(profile.n, profile.d, 2.0, derive_seed(profile.seed, 0, attempt))
-            u, _ = reduced_qr(x)
-            g = substream(derive_seed(profile.seed, 1, attempt)).standard_normal(
-                (profile.d, profile.d)
-            )
-            v, _ = reduced_qr(DenseMatrix._wrap(g))
-            a = (u.array * sigma[None, :]) @ v.array.T
-            return normalize_gram_linf(DenseMatrix._wrap(a))
-        except RankDeficiencyError as exc:
-            last = exc
-    raise last
+    x = mvt_rows(profile.n, profile.d, 2.0, derive_seed(profile.seed, 0, 0))
+    g = substream(derive_seed(profile.seed, 1, 0)).standard_normal((profile.d, profile.d))
+    a = (_signed_q(x.array) * sigma[None, :]) @ _signed_q(g).T
+    return normalize_gram_linf(DenseMatrix._wrap(a))
 
 
 def normalize_gram_linf(a: DenseMatrix) -> DenseMatrix:

@@ -1,4 +1,4 @@
-"""Dense-matrix foundation: storage, products, norms, and the reduced QR factorization.
+"""Dense-matrix foundation: storage, the exact product, and its error types.
 
 All scalars are float64. Matrices are immutable after construction and safe to
 share across threads.
@@ -10,20 +10,10 @@ import numpy as np
 
 __all__ = [
     "DenseMatrix",
-    "RankDeficiencyError",
     "ZeroMatrixError",
     "NonFiniteResultError",
     "matmul_t",
-    "linf_norm",
-    "frobenius_norm",
-    "spectral_norm",
-    "stable_rank",
-    "reduced_qr",
 ]
-
-
-class RankDeficiencyError(ValueError):
-    """A factorization input was numerically rank deficient."""
 
 
 class ZeroMatrixError(ValueError):
@@ -114,48 +104,3 @@ def matmul_t(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         product = a.array.T @ b.array
     return DenseMatrix._wrap(check_finite_result(product, "the exact product A^T B"))
-
-
-def linf_norm(c: DenseMatrix) -> float:
-    """Largest absolute entry."""
-    return float(np.abs(c.array).max())
-
-
-def frobenius_norm(c: DenseMatrix) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(c.array))
-
-
-def spectral_norm(c: DenseMatrix) -> float:
-    """Largest singular value, from LAPACK's SVD to working precision."""
-    return float(np.linalg.norm(c.array, 2))
-
-
-def stable_rank(c: DenseMatrix) -> float:
-    """Squared Frobenius norm over squared spectral norm; at least 1 for nonzero input."""
-    f = frobenius_norm(c)
-    if f == 0.0:
-        raise ZeroMatrixError("stable rank is undefined for the zero matrix")
-    return (f / spectral_norm(c)) ** 2
-
-
-def reduced_qr(x: DenseMatrix, rank_tol: float = 1e-10) -> tuple[DenseMatrix, DenseMatrix]:
-    """Reduced QR factorization with the R diagonal forced nonnegative.
-
-    Householder-based (LAPACK), so Q is deterministic once the diagonal sign
-    convention is applied. Requires rows >= cols and numerically full column
-    rank; a diagonal entry of R at or below ``rank_tol`` times the largest
-    one raises RankDeficiencyError.
-    """
-    if x.rows < x.cols:
-        raise ValueError(f"need rows >= cols, got {x.rows}x{x.cols}")
-    q, r = np.linalg.qr(x.array, mode="reduced")
-    diag = np.abs(np.diag(r))
-    threshold = rank_tol * diag.max()
-    if (diag <= threshold).any():
-        raise RankDeficiencyError(
-            f"input is numerically rank deficient (min |R_ii| = {diag.min():.3e})"
-        )
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return DenseMatrix._wrap(q * signs), DenseMatrix._wrap(signs[:, None] * r)

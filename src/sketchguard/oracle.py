@@ -20,14 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .booterr import BootstrapConfig, bootstrap_quantile, empirical_quantile, extrapolate
-from .matcore import DenseMatrix, check_finite_result, linf_norm, matmul_t
+from .matcore import DenseMatrix, check_finite_result, matmul_t
 from .parallel import run_indexed
 from .rng import derive_seed, substream
 from .sketch import (
     SketchKind, SketchPair, SketchSpec, apply_spec, length_sampling_probs, row_sample_sketch,
 )
 
-__all__ = ["QuantileCurve", "true_error", "mc_quantile_curve", "coverage_probe"]
+__all__ = ["QuantileCurve", "mc_quantile_curve", "coverage_probe"]
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,6 @@ class QuantileCurve:
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
-
-
-def true_error(a: DenseMatrix, b: DenseMatrix, pair: SketchPair) -> float:
-    """Actual error of the sketched product: max-abs deviation from the exact one."""
-    if pair.source_rows != a.rows or pair.source_rows != b.rows:
-        raise ValueError(
-            f"pair was sketched from {pair.source_rows} rows, inputs have {a.rows}/{b.rows}"
-        )
-    if pair.a_sketch.cols != a.cols or pair.b_sketch.cols != b.cols:
-        raise ValueError("pair column counts do not match the input matrices")
-    return linf_norm(DenseMatrix._wrap(pair.sketched_product - matmul_t(a, b).array))
 
 
 def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
@@ -133,6 +122,8 @@ def mc_quantile_curve(
     grid = sorted(set(int(t) for t in t_grid))
     if not grid:
         raise ValueError("t_grid must be nonempty")
+    if grid[0] < 1:
+        raise ValueError(f"sketch sizes in t_grid must be at least 1, got {grid[0]}")
     lo_p, hi_p = band_percentiles
     if not 0.0 < lo_p < hi_p < 1.0:
         raise ValueError(f"band percentiles must satisfy 0 < lo < hi < 1, got {band_percentiles}")

@@ -110,9 +110,11 @@ def _check_pair_inputs(a: DenseMatrix, b: DenseMatrix) -> int:
 def gaussian_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair:
     """Sketch with S having i.i.d. N(0, 1/t) entries.
 
-    Row i of S is drawn from the stream (seed, i), so applying S in row
-    blocks yields the same result as materializing it whole. Blocks are
-    capped at MAX_MATERIALIZED_ENTRIES entries.
+    S is read row-major from the one stream (seed, 0) in row blocks of at
+    most MAX_MATERIALIZED_ENTRIES entries. The stream's draws do not depend
+    on how they are split, so every block size gives the same S as
+    materializing it whole. An overflowing product raises
+    NonFiniteResultError.
     """
     spec = SketchSpec(SketchKind.GAUSSIAN, t, seed)
     n = _check_pair_inputs(a, b)
@@ -120,15 +122,15 @@ def gaussian_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> Sketch
     out_b = out_a if b is a else np.empty((t, b.cols))
     scale = 1.0 / math.sqrt(t)
     block = max(1, MAX_MATERIALIZED_ENTRIES // n)
+    gen = substream(seed, 0)
     for start in range(0, t, block):
         stop = min(t, start + block)
-        s_block = np.empty((stop - start, n))
-        for i in range(start, stop):
-            s_block[i - start] = substream(seed, i).standard_normal(n)
+        s_block = gen.standard_normal((stop - start, n))
         s_block *= scale
-        out_a[start:stop] = s_block @ a.array
-        if out_b is not out_a:
-            out_b[start:stop] = s_block @ b.array
+        with np.errstate(over="ignore", invalid="ignore"):  # _wrap raises on overflow
+            out_a[start:stop] = s_block @ a.array
+            if out_b is not out_a:
+                out_b[start:stop] = s_block @ b.array
     a_sk = DenseMatrix._wrap(out_a)
     b_sk = a_sk if out_b is out_a else DenseMatrix._wrap(out_b)
     return SketchPair(a_sk, b_sk, spec, n)
@@ -264,9 +266,10 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
         return out
 
     # A and B go through separate GEMMs of the same shapes, so equal inputs
-    # give bitwise-equal sketches.
-    a_sk = DenseMatrix._wrap(kept(a.array))
-    b_sk = a_sk if b is a else DenseMatrix._wrap(kept(b.array))
+    # give bitwise-equal sketches. _wrap raises on an overflowing product.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_sk = DenseMatrix._wrap(kept(a.array))
+        b_sk = a_sk if b is a else DenseMatrix._wrap(kept(b.array))
     return SketchPair(a_sk, b_sk, spec, n)
 
 

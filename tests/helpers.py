@@ -4,9 +4,43 @@ import math
 
 import numpy as np
 
-from sketchguard.matcore import DenseMatrix, matmul_t
+from sketchguard.matcore import DenseMatrix, ZeroMatrixError, matmul_t
 from sketchguard.rng import substream
 from sketchguard.sketch import SketchPair
+
+
+def linf_norm(c: DenseMatrix) -> float:
+    """Largest absolute entry."""
+    return float(np.abs(c.array).max())
+
+
+def frobenius_norm(c: DenseMatrix) -> float:
+    """Square root of the sum of squared entries."""
+    return float(np.linalg.norm(c.array))
+
+
+def spectral_norm(c: DenseMatrix) -> float:
+    """Largest singular value, from LAPACK's SVD to working precision."""
+    return float(np.linalg.norm(c.array, 2))
+
+
+def stable_rank(c: DenseMatrix) -> float:
+    """Squared Frobenius norm over squared spectral norm; at least 1 for nonzero input."""
+    f = frobenius_norm(c)
+    if f == 0.0:
+        raise ZeroMatrixError("stable rank is undefined for the zero matrix")
+    return (f / spectral_norm(c)) ** 2
+
+
+def true_error(a: DenseMatrix, b: DenseMatrix, pair: SketchPair) -> float:
+    """Actual error of the sketched product: max-abs deviation from the exact one."""
+    if pair.source_rows != a.rows or pair.source_rows != b.rows:
+        raise ValueError(
+            f"pair was sketched from {pair.source_rows} rows, inputs have {a.rows}/{b.rows}"
+        )
+    if pair.a_sketch.cols != a.cols or pair.b_sketch.cols != b.cols:
+        raise ValueError("pair column counts do not match the input matrices")
+    return linf_norm(DenseMatrix._wrap(pair.sketched_product - matmul_t(a, b).array))
 
 
 def mc_mean_check(sketcher, a: DenseMatrix, b: DenseMatrix, draws: int, tol_se: float = 5.0):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import dyad_form_error, explicit_srht_apply, mc_mean_check
+from helpers import dyad_form_error, explicit_srht_apply, mc_mean_check, stable_rank
 from sketchguard.booterr import (
     BootstrapConfig,
     bootstrap_quantile,
@@ -31,7 +31,7 @@ from sketchguard.datagen import (
     singular_value_profile,
     synth_matrix,
 )
-from sketchguard.matcore import DenseMatrix, stable_rank
+from sketchguard.matcore import DenseMatrix
 from sketchguard.oracle import coverage_probe, mc_quantile_curve
 from sketchguard.rng import derive_seed, substream
 from sketchguard.sketch import (

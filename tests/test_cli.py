@@ -397,6 +397,22 @@ class TestExitCodes:
             f"numerical failure: {logged}"
         ]
 
+    @pytest.mark.parametrize("grid", ["0,8", "-4,8"])
+    @pytest.mark.parametrize("command", ["bootstrap", "oracle", "experiment"])
+    def test_grid_sizes_below_one_are_usage_errors(
+        self, capsys, caplog, monkeypatch, command, grid
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "mc_quantile_curve", no_oracle)
+        code, out = run_cli(
+            capsys, command, "--synth", "64,8,high", "--kind", "uniform", f"--t-grid={grid}"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "integers of at least 1" in caplog.text
+
     def test_numeric_error_on_zero_data(self, capsys, tmp_path):
         zero = tmp_path / "zero.txt"
         zero.write_text("1 1:0\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import linf_norm, stable_rank
 from sketchguard.datagen import (
     FeatureIndexRangeError,
     LibsvmParseError,
@@ -18,7 +19,8 @@ from sketchguard.datagen import (
     singular_value_profile,
     synth_matrix,
 )
-from sketchguard.matcore import DenseMatrix, ZeroMatrixError, linf_norm, matmul_t, stable_rank
+from sketchguard.matcore import DenseMatrix, ZeroMatrixError, matmul_t
+from sketchguard.rng import derive_seed, substream
 
 
 def libsvm_write(path, matrix: DenseMatrix, labels=None) -> None:
@@ -104,6 +106,20 @@ class TestSynthMatrix:
     def test_deterministic(self):
         p = SynthProfile(64, 8, RankMode.HIGH, 10)
         assert synth_matrix(p) == synth_matrix(p)
+
+    def test_factors_are_the_unique_qr_with_positive_r_diagonal(self):
+        # Q = X R^-1 with R^T the Cholesky factor of X^T X is the one QR whose
+        # R has a positive diagonal, whatever sign convention LAPACK uses.
+        def positive_q(x):
+            return np.linalg.solve(np.linalg.cholesky(x.T @ x), x.T).T
+
+        for mode in (RankMode.LOW, RankMode.HIGH):
+            p = SynthProfile(96, 6, mode, 11)
+            x = mvt_rows(p.n, p.d, 2.0, derive_seed(p.seed, 0, 0)).array
+            g = substream(derive_seed(p.seed, 1, 0)).standard_normal((p.d, p.d))
+            sigma = singular_value_profile(mode, p.d)
+            want = normalize_gram_linf(DenseMatrix((positive_q(x) * sigma) @ positive_q(g).T))
+            np.testing.assert_allclose(synth_matrix(p).array, want.array, rtol=0, atol=1e-9)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

@@ -6,18 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sketchguard.matcore import (
-    DenseMatrix,
-    NonFiniteResultError,
-    RankDeficiencyError,
-    ZeroMatrixError,
-    frobenius_norm,
-    linf_norm,
-    matmul_t,
-    reduced_qr,
-    spectral_norm,
-    stable_rank,
-)
+from helpers import frobenius_norm, linf_norm, spectral_norm, stable_rank
+from sketchguard.matcore import DenseMatrix, NonFiniteResultError, ZeroMatrixError, matmul_t
 
 
 def triple_loop_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,43 +190,3 @@ class TestStableRank:
     def test_zero_matrix_errors(self):
         with pytest.raises(ZeroMatrixError):
             stable_rank(DenseMatrix(np.zeros((2, 2))))
-
-
-class TestReducedQR:
-    def test_orthonormal_input_fixed_point(self):
-        rng = np.random.default_rng(12)
-        q0, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-        q, r = reduced_qr(DenseMatrix(q0))
-        np.testing.assert_allclose(np.abs(q.array), np.abs(q0), atol=1e-12)
-        np.testing.assert_allclose(r.array, np.eye(3), atol=1e-12)
-
-    def test_axis_aligned(self):
-        x = DenseMatrix([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
-        q, r = reduced_qr(x)
-        np.testing.assert_allclose(q.array, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(r.array, np.diag([2.0, 3.0]), atol=1e-15)
-
-    def test_reconstruction_and_orthogonality(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((20, 5))
-        q, r = reduced_qr(DenseMatrix(x))
-        gram = q.array.T @ q.array
-        assert np.abs(gram - np.eye(5)).max() <= 1e-10
-        err = np.linalg.norm(q.array @ r.array - x) / np.linalg.norm(x)
-        assert err <= 1e-10
-
-    def test_r_diagonal_nonnegative_and_triangular(self):
-        rng = np.random.default_rng(14)
-        _, r = reduced_qr(DenseMatrix(rng.standard_normal((9, 4))))
-        assert (np.diag(r.array) > 0).all()
-        assert np.abs(np.tril(r.array, -1)).max() == 0.0
-
-    def test_rank_deficiency(self):
-        col = np.arange(1.0, 6.0)
-        x = np.column_stack([col, 2 * col])
-        with pytest.raises(RankDeficiencyError):
-            reduced_qr(DenseMatrix(x))
-
-    def test_wide_input_rejected(self):
-        with pytest.raises(ValueError):
-            reduced_qr(DenseMatrix(np.ones((2, 3))))

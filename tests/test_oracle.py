@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mc_mean_check
+from helpers import linf_norm, mc_mean_check, true_error
 from sketchguard import oracle, sketch
 from sketchguard.booterr import BootstrapConfig
 from sketchguard.cli import main
 from sketchguard.datagen import SynthProfile, synth_matrix
-from sketchguard.matcore import DenseMatrix, linf_norm, matmul_t
+from sketchguard.matcore import DenseMatrix, matmul_t
 from sketchguard.oracle import (
     QuantileCurve,
     coverage_probe,
     mc_quantile_curve,
     pair_sampler,
-    true_error,
 )
 from sketchguard.rng import derive_seed
 from sketchguard.sketch import SketchKind, SketchSpec, apply_spec, row_sample_sketch
@@ -121,6 +120,10 @@ class TestMcQuantileCurve:
         with pytest.raises(ValueError):
             mc_quantile_curve(a, a, SketchKind.GAUSSIAN, [2], 20, 0.1, 0,
                               band_percentiles=(0.9, 0.1))
+        for grid in ([0, 8], [-4, 8]):
+            for kind in SketchKind:
+                with pytest.raises(ValueError, match="at least 1"):
+                    mc_quantile_curve(a, a, kind, grid, 20, 0.1, 0)
 
 
 class TestCoverageProbe:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sketchguard.matcore import DenseMatrix, NonFiniteResultError, matmul_t
+from sketchguard.oracle import pair_sampler
 from sketchguard.rng import substream
 from sketchguard.sketch import (
     LengthSamplingError,
@@ -53,8 +54,8 @@ class TestGaussianSketch:
         )
 
     def test_blocked_path_matches_materialized(self, monkeypatch):
-        # Row draws are indexed by (seed, row), so shrinking the block size
-        # reproduces the same operator; only gemm reassociation may differ.
+        # S is read row-major from the one stream (seed, 0), so shrinking the
+        # block size reproduces the same operator; only gemm reassociation may differ.
         rng = np.random.default_rng(3)
         a = DenseMatrix(rng.standard_normal((32, 3)))
         b = DenseMatrix(rng.standard_normal((32, 2)))
@@ -71,6 +72,20 @@ class TestGaussianSketch:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gaussian_sketch(DenseMatrix(np.ones((3, 1))), DenseMatrix(np.ones((4, 1))), 2, 0)
+
+    def test_every_block_cap_reads_one_stream(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        for trial in range(5):
+            n, t = int(rng.integers(5, 40)), int(rng.integers(1, 30))
+            a = DenseMatrix(rng.standard_normal((n, 3)))
+            b = DenseMatrix(rng.standard_normal((n, 2)))
+            seed = int(rng.integers(2**63))
+            s = substream(seed, 0).standard_normal((t, n)) / math.sqrt(t)
+            for cap in (1, n, 3 * n + 1, t * n, 1 << 24):
+                monkeypatch.setattr("sketchguard.sketch.MAX_MATERIALIZED_ENTRIES", cap)
+                pair = gaussian_sketch(a, b, t, seed)
+                np.testing.assert_allclose(pair.a_sketch.array, s @ a.array, rtol=1e-13)
+                np.testing.assert_allclose(pair.b_sketch.array, s @ b.array, rtol=1e-13)
 
 
 class TestLengthSamplingProbs:
@@ -329,13 +344,20 @@ class TestNonFiniteSketches:
         with pytest.raises(NonFiniteResultError, match="sketched product"):
             pair.sketched_product
 
-    def test_overflowing_sketch_raises(self):
-        # row sampling rescales by sqrt(n / t) = 2, past the largest double
-        a = DenseMatrix(np.full((8, 1), 1e308))
+    @pytest.mark.parametrize(
+        "sketcher",
+        [*(lambda a, k=k: apply_spec(a, a, SketchSpec(k, 2, 0)) for k in ALL_KINDS),
+         lambda a: pair_sampler(a, a, SketchKind.SRHT)(2, 0)],
+        ids=[k.value for k in ALL_KINDS] + ["srht-sampler"],
+    )
+    def test_overflowing_sketch_raises(self, sketcher):
+        # each sketch row mixes or rescales 64 rows of 1e308 past the largest
+        # double; length sampling overflows earlier, in its weights
+        a = DenseMatrix(np.full((64, 1), 1e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteResultError):
-                apply_spec(a, a, SketchSpec(SketchKind.UNIFORM_SAMPLE, 2, 0))
+                sketcher(a)
 
     def test_overflowing_length_weights_raise(self):
         # every weight is about 1e308, finite, but their sum is not
