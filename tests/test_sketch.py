@@ -344,13 +344,21 @@ class TestNonFiniteSketches:
         with pytest.raises(NonFiniteResultError, match="sketched product"):
             pair.sketched_product
 
+    def test_overflowing_sketch_raises(self):
+        # row sampling rescales by sqrt(n / t) = 2, past the largest double
+        a = DenseMatrix(np.full((8, 1), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError):
+                apply_spec(a, a, SketchSpec(SketchKind.UNIFORM_SAMPLE, 2, 0))
+
     @pytest.mark.parametrize(
         "sketcher",
         [*(lambda a, k=k: apply_spec(a, a, SketchSpec(k, 2, 0)) for k in ALL_KINDS),
          lambda a: pair_sampler(a, a, SketchKind.SRHT)(2, 0)],
         ids=[k.value for k in ALL_KINDS] + ["srht-sampler"],
     )
-    def test_overflowing_sketch_raises(self, sketcher):
+    def test_overflowing_sketch_raises_for_every_kind(self, sketcher):
         # each sketch row mixes or rescales 64 rows of 1e308 past the largest
         # double; length sampling overflows earlier, in its weights
         a = DenseMatrix(np.full((64, 1), 1e308))
