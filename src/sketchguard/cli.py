@@ -224,16 +224,17 @@ def write_curve_csv(path, rows, header: str = CSV_HEADER) -> None:
 
 
 def save_pair(path, pair: SketchPair) -> None:
-    """Store a sketch pair with its provenance as an .npz archive."""
-    np.savez(
-        path,
-        a_sketch=pair.a_sketch.array,
-        b_sketch=pair.b_sketch.array,
-        kind=pair.spec.kind.value,
-        t=np.uint64(pair.spec.t),
-        seed=np.uint64(pair.spec.seed),
-        source_rows=np.uint64(pair.source_rows),
-    )
+    """Store a sketch pair with its provenance as an .npz archive at exactly ``path``."""
+    with open(path, "wb") as fh:  # np.savez given a name would append .npz to it
+        np.savez(
+            fh,
+            a_sketch=pair.a_sketch.array,
+            b_sketch=pair.b_sketch.array,
+            kind=pair.spec.kind.value,
+            t=np.uint64(pair.spec.t),
+            seed=np.uint64(pair.spec.seed),
+            source_rows=np.uint64(pair.source_rows),
+        )
 
 
 def load_pair(path) -> SketchPair:
@@ -504,7 +505,10 @@ def _parse(argv) -> argparse.Namespace:
     args = argparse.Namespace(**vars(flags))
     if flags.config is not None:
         options = vars(flags).keys() - {"command", "func", "config"}
-        config = {k: v for k, v in load_config(flags.config).items() if k in options}
+        config = load_config(flags.config)
+        if "no_normalize" in config:
+            raise SpecError("config key no-normalize is not accepted; write normalize = false")
+        config = {k: v for k, v in config.items() if k in options}
         if "normalize" in config:
             config["normalize"] = _to_bool(config["normalize"], "normalize")
         args = build_parser(config).parse_args(argv)

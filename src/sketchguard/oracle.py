@@ -9,12 +9,12 @@ Gaussian realizations are drawn in Gram space. Let ``[A B] = Q R`` be a
 reduced QR, with m columns and k = min(n, m) rows in R. Q has orthonormal
 columns, so ``S Q`` has i.i.d. N(0, 1/t) entries whenever S does, and
 ``[SA SB] = (S Q) R`` has the same law as ``G R`` for a t x k matrix G of
-i.i.d. N(0, 1/t) entries. Each draw then costs O(t k m), independent of n.
+i.i.d. N(0, 1/t) entries. So the oracle applies ``gaussian_sketch`` to R,
+and each draw costs O(t k m), independent of n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,9 +22,9 @@ import numpy as np
 from .booterr import BootstrapConfig, bootstrap_quantile, empirical_quantile, extrapolate
 from .matcore import DenseMatrix, check_finite_result, matmul_t
 from .parallel import run_indexed
-from .rng import derive_seed, substream
+from .rng import derive_seed
 from .sketch import (
-    SketchKind, SketchPair, SketchSpec, apply_spec, length_sampling_probs, row_sample_sketch,
+    SketchKind, SketchSpec, apply_spec, gaussian_sketch, length_sampling_probs, row_sample_sketch,
 )
 
 __all__ = ["QuantileCurve", "mc_quantile_curve", "coverage_probe"]
@@ -32,46 +32,35 @@ __all__ = ["QuantileCurve", "mc_quantile_curve", "coverage_probe"]
 
 @dataclass(frozen=True)
 class QuantileCurve:
-    """Ordered (t, value) quantile points with optional percentile bands."""
+    """Quantile values at increasing t, with 10%/90% percentile bands."""
 
     alpha: float
-    points: tuple[tuple[int, float], ...]
-    band_low: tuple[float, ...] | None
-    band_high: tuple[float, ...] | None
+    ts: tuple[int, ...]
+    values: tuple[float, ...]
+    band_low: tuple[float, ...]
+    band_high: tuple[float, ...]
     reps: int
 
     def __post_init__(self):
-        ts = [t for t, _ in self.points]
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+        if any(t2 <= t1 for t1, t2 in zip(self.ts, self.ts[1:])):
             raise ValueError("t values must be strictly increasing")
-        if any(v < 0 for _, v in self.points):
+        if any(v < 0 for v in self.values):
             raise ValueError("quantile values must be nonnegative")
-        bands = (self.band_low, self.band_high)
-        if (bands[0] is None) != (bands[1] is None):
-            raise ValueError("band_low and band_high must be given together")
-        if bands[0] is not None:
-            if len(bands[0]) != len(self.points) or len(bands[1]) != len(self.points):
-                raise ValueError("bands must parallel the points")
-            if any(lo > hi for lo, hi in zip(*bands)):
-                raise ValueError("band_low must not exceed band_high")
-
-    @property
-    def ts(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
+        if not len(self.ts) == len(self.values) == len(self.band_low) == len(self.band_high):
+            raise ValueError("values and bands must parallel the t values")
+        if any(lo > hi for lo, hi in zip(self.band_low, self.band_high)):
+            raise ValueError("band_low must not exceed band_high")
 
 
 def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
     """Return ``draw(t, seed) -> SketchPair``, one sketch realization per call.
 
-    For Gaussian sketches the pair is ``G R`` (see the module docstring), with
-    G drawn from the stream (seed, 0); it has the law of ``gaussian_sketch``'s
-    pair, not its bits. R comes from one QR of the data, which need not have
-    full rank. Length sampling computes its probabilities once, here. Every
-    other kind is ``apply_spec`` itself.
+    For Gaussian sketches the oracle applies ``gaussian_sketch`` to R (see the
+    module docstring) and keeps the data's row count as ``source_rows``; a
+    draw has the law of ``gaussian_sketch``'s pair on the data, not its bits.
+    R comes from one QR of the data, which need not have full rank. Length
+    sampling computes its probabilities once, here. Every other kind is
+    ``apply_spec`` itself.
     """
     kind = SketchKind(kind)
     if kind is SketchKind.LENGTH_SAMPLE:
@@ -82,17 +71,9 @@ def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
     if a.rows != b.rows:
         raise ValueError(f"row counts differ: {a.rows} vs {b.rows}")
     r = np.linalg.qr(a.array if b is a else np.hstack([a.array, b.array]), mode="r")
-    r_a, r_b = r[:, : a.cols], r[:, a.cols :]
-
-    def draw(t: int, seed: int) -> SketchPair:
-        spec = SketchSpec(kind, t, seed)
-        g = substream(seed, 0).standard_normal((t, r.shape[0]))
-        g *= 1.0 / math.sqrt(t)
-        a_sk = DenseMatrix._wrap(g @ r_a)
-        b_sk = a_sk if b is a else DenseMatrix._wrap(g @ r_b)
-        return SketchPair(a_sk, b_sk, spec, a.rows)
-
-    return draw
+    r_a = DenseMatrix._wrap(r[:, : a.cols])
+    r_b = r_a if b is a else DenseMatrix._wrap(r[:, a.cols :])
+    return lambda t, seed: replace(gaussian_sketch(r_a, r_b, t, seed), source_rows=a.rows)
 
 
 def mc_quantile_curve(
@@ -103,7 +84,6 @@ def mc_quantile_curve(
     reps: int,
     alpha: float,
     seed: int,
-    band_percentiles: tuple[float, float] = (0.1, 0.9),
 ) -> QuantileCurve:
     """Monte-Carlo estimate of the (1 - alpha) error quantile over a t grid.
 
@@ -114,8 +94,8 @@ def mc_quantile_curve(
     realization serves every grid t. Each t's error therefore has its exact
     law, while errors at different t of one realization are correlated.
     Records per t the interpolated sample quantile of the realized errors,
-    plus percentile bands (defaults 10% and 90%). The quantile value sits
-    inside the bands only when 1-alpha lies between the band percentiles.
+    plus their 10% and 90% percentile bands. The quantile value sits inside
+    the bands only when 1-alpha lies between 0.1 and 0.9.
     """
     if reps < 10:
         raise ValueError(f"need at least 10 realizations per t, got {reps}")
@@ -124,9 +104,8 @@ def mc_quantile_curve(
         raise ValueError("t_grid must be nonempty")
     if grid[0] < 1:
         raise ValueError(f"sketch sizes in t_grid must be at least 1, got {grid[0]}")
-    lo_p, hi_p = band_percentiles
-    if not 0.0 < lo_p < hi_p < 1.0:
-        raise ValueError(f"band percentiles must satisfy 0 < lo < hi < 1, got {band_percentiles}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     truth = matmul_t(a, b).array  # first, so an overflowing A^T B is what gets reported
     draw = pair_sampler(a, b, kind)
     t_max = grid[-1]
@@ -141,9 +120,10 @@ def mc_quantile_curve(
     cols = errs.T
     return QuantileCurve(
         alpha=alpha,
-        points=tuple((t, empirical_quantile(e, 1.0 - alpha)) for t, e in zip(grid, cols)),
-        band_low=tuple(empirical_quantile(e, lo_p) for e in cols),
-        band_high=tuple(empirical_quantile(e, hi_p) for e in cols),
+        ts=tuple(grid),
+        values=tuple(empirical_quantile(e, 1.0 - alpha) for e in cols),
+        band_low=tuple(empirical_quantile(e, 0.1) for e in cols),
+        band_high=tuple(empirical_quantile(e, 0.9) for e in cols),
         reps=reps,
     )
 

@@ -132,7 +132,7 @@ def test_criterion_05_extrapolation_tracks_oracle(high_profile_matrix):
         estimates.append(bootstrap_quantile(pair, cfg).value)
     estimates = np.asarray(estimates)
     worst = 0.0
-    for t, oracle_q in curve.points:
+    for t, oracle_q in zip(curve.ts, curve.values):
         est_mean = float(np.mean(math.sqrt(t0 / t) * estimates))
         rel = abs(est_mean - oracle_q) / oracle_q
         worst = max(worst, rel)

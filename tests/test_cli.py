@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sketchguard import cli
+from sketchguard import cli, oracle
 from sketchguard.booterr import BootstrapConfig, BootstrapScheme, bootstrap_quantile
 from sketchguard.cli import (
     CSV_HEADER,
@@ -136,6 +136,16 @@ class TestSketchAndBootstrapCommands:
         assert loaded.spec == pair.spec
         assert loaded.source_rows == pair.source_rows
 
+    def test_pair_is_written_at_the_given_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(
+            capsys, "sketch", "--synth", "64,8,high", "--kind", "uniform", "--out", "p.bin"
+        )
+        assert code == 0 and out.startswith("wrote p.bin: ")
+        assert not (tmp_path / "p.bin.npz").exists()
+        code, out = run_cli(capsys, "bootstrap", "--pair", "p.bin", "--seed", "2")
+        assert code == 0 and out.startswith("q_hat(4) = ")
+
 
 class TestOracleCommand:
     def test_writes_four_column_csv(self, tmp_path, capsys):
@@ -197,15 +207,20 @@ class TestExperiment:
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
 
     def test_gaussian_draws_do_not_materialize_s(self, tmp_path, monkeypatch):
-        # oracle and estimator reps draw G R in Gram space (see oracle.pair_sampler)
-        from sketchguard import sketch
+        # oracle and estimator reps sketch R in Gram space (see oracle.pair_sampler)
+        rows = []
+        real = oracle.gaussian_sketch
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("gaussian_sketch called")
+        def recorder(a, b, t, seed):
+            rows.append(a.rows)
+            return real(a, b, t, seed)
 
-        monkeypatch.setattr(sketch, "gaussian_sketch", refuse)
-        result = run_experiment(self.small_spec(tmp_path, "gram.csv"))
+        monkeypatch.setattr(oracle, "gaussian_sketch", recorder)
+        spec = self.small_spec(tmp_path, "gram.csv")
+        result = run_experiment(spec)
         assert all(row[1] > 0 and row[4] > 0 for row in result.rows)
+        assert len(rows) == spec.oracle_reps + spec.estimator_reps
+        assert max(rows) <= min(spec.data_source.rows, spec.data_source.cols)
 
     def test_zero_matrix_yields_zero_columns(self, tmp_path):
         spec = ExperimentSpec(
@@ -413,6 +428,20 @@ class TestExitCodes:
         assert out == ""
         assert "integers of at least 1" in caplog.text
 
+    def test_oracle_alpha_outside_unit_interval_fails_before_any_draw(
+        self, capsys, caplog, monkeypatch
+    ):
+        def no_draws(*args):
+            raise AssertionError("sketches were drawn before alpha was checked")
+
+        monkeypatch.setattr(oracle, "pair_sampler", no_draws)
+        code, out = run_cli(
+            capsys, "oracle", "--synth", "64,8,high", "--kind", "srht", "--alpha", "1.5"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "alpha must lie in (0, 1), got 1.5" in caplog.text
+
     def test_numeric_error_on_zero_data(self, capsys, tmp_path):
         zero = tmp_path / "zero.txt"
         zero.write_text("1 1:0\n", encoding="utf-8")
@@ -559,6 +588,8 @@ class TestConfigValuesParseLikeFlags:
             ("scheme = jackknife", "--scheme"),
             ("alpha = inf", "alpha must be a finite number"),
             ("normalize = maybe", "normalize must be a boolean"),
+            ("no-normalize = true", "write normalize = false"),
+            ("no_normalize = 1", "write normalize = false"),
         ],
     )
     def test_bad_value_is_usage_error_naming_the_option(

@@ -62,12 +62,21 @@ class TestTrueError:
 
 class TestQuantileCurveType:
     def test_requires_increasing_t(self):
-        with pytest.raises(ValueError):
-            QuantileCurve(0.1, ((4, 1.0), (4, 0.5)), None, None, 10)
+        with pytest.raises(ValueError, match="increasing"):
+            QuantileCurve(0.1, (4, 4), (1.0, 0.5), (0.5, 0.5), (1.0, 1.0), 10)
 
     def test_band_ordering(self):
-        with pytest.raises(ValueError):
-            QuantileCurve(0.1, ((2, 1.0),), (2.0,), (1.0,), 10)
+        with pytest.raises(ValueError, match="exceed"):
+            QuantileCurve(0.1, (2,), (1.0,), (2.0,), (1.0,), 10)
+
+    @pytest.mark.parametrize("field", ["values", "band_low", "band_high"])
+    def test_fields_must_parallel_the_t_values(self, field):
+        fields = dict(alpha=0.1, ts=(2, 4), values=(1.0, 0.5), band_low=(0.5, 0.25),
+                      band_high=(1.5, 0.75), reps=10)
+        QuantileCurve(**fields)
+        fields[field] = fields[field][:1]
+        with pytest.raises(ValueError, match="parallel"):
+            QuantileCurve(**fields)
 
 
 class TestMcQuantileCurve:
@@ -111,15 +120,19 @@ class TestMcQuantileCurve:
         assert base.band_low[0] <= permuted.values[0] <= base.band_high[0]
         assert permuted.band_low[0] <= base.values[0] <= permuted.band_high[0]
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sketches were drawn before the arguments were checked")
+
+        monkeypatch.setattr(oracle, "pair_sampler", no_draws)
         a = DenseMatrix(np.ones((4, 2)))
         with pytest.raises(ValueError):
             mc_quantile_curve(a, a, SketchKind.GAUSSIAN, [2], 5, 0.1, 0)
         with pytest.raises(ValueError):
             mc_quantile_curve(a, a, SketchKind.GAUSSIAN, [], 20, 0.1, 0)
-        with pytest.raises(ValueError):
-            mc_quantile_curve(a, a, SketchKind.GAUSSIAN, [2], 20, 0.1, 0,
-                              band_percentiles=(0.9, 0.1))
+        for alpha in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="alpha"):
+                mc_quantile_curve(a, a, SketchKind.GAUSSIAN, [2], 20, alpha, 0)
         for grid in ([0, 8], [-4, 8]):
             for kind in SketchKind:
                 with pytest.raises(ValueError, match="at least 1"):
@@ -171,7 +184,7 @@ def _ks_critical(n, m, level=0.001):
 
 
 class TestGramSpaceSampler:
-    """Gaussian draws G R (R from a QR of [A B]) against materialized S."""
+    """Gaussian draws of gaussian_sketch on R (from a QR of [A B]) against S on the data."""
 
     DRAWS = 500
 
@@ -219,17 +232,39 @@ class TestGramSpaceSampler:
             assert drawn.a_sketch == apply_spec(a, a, SketchSpec(kind, 8, 4)).a_sketch
 
     def test_gaussian_oracle_does_not_materialize_s(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("gaussian_sketch called")
+        # every Gaussian draw of the oracle sketches R, never the n-row data
+        rows = []
+        real = oracle.gaussian_sketch
 
-        monkeypatch.setattr(sketch, "gaussian_sketch", refuse)
+        def recorder(a, b, t, seed):
+            rows.append(a.rows)
+            return real(a, b, t, seed)
+
+        monkeypatch.setattr(oracle, "gaussian_sketch", recorder)
         m = synth_matrix(SynthProfile(128, 4, "high", 59))
         curve = mc_quantile_curve(m, m, SketchKind.GAUSSIAN, [4, 8], 20, 0.1, 0)
         assert all(v > 0 for v in curve.values)
         cfg = BootstrapConfig("multiplier", 5, 0.1, 0)
         assert 0.0 <= coverage_probe(m, m, SketchKind.GAUSSIAN, 4, 8, cfg, 10, 1) <= 1.0
-        with pytest.raises(AssertionError, match="gaussian_sketch called"):
-            apply_spec(m, m, SketchSpec(SketchKind.GAUSSIAN, 4, 0))
+        assert len(rows) == 20 + 2 * 10
+        assert max(rows) <= min(m.rows, m.cols)
+
+    @pytest.mark.parametrize("same", [True, False], ids=["b-is-a", "b-differs"])
+    def test_draw_is_gaussian_sketch_of_r(self, same):
+        rng = np.random.default_rng(68)
+        a = DenseMatrix(rng.standard_normal((300, 7)))
+        b = a if same else DenseMatrix(rng.standard_normal((300, 5)))
+        r = np.linalg.qr(a.array if same else np.hstack([a.array, b.array]), mode="r")
+        r_a = DenseMatrix(r[:, : a.cols])
+        r_b = r_a if same else DenseMatrix(r[:, a.cols :])
+        draw = pair_sampler(a, b, SketchKind.GAUSSIAN)
+        for t, seed in ((1, 69), (17, 70), (640, 71)):
+            pair = draw(t, seed)
+            expected = sketch.gaussian_sketch(r_a, r_b, t, seed)
+            assert pair.a_sketch.array.tobytes() == expected.a_sketch.array.tobytes()
+            assert pair.b_sketch.array.tobytes() == expected.b_sketch.array.tobytes()
+            assert pair.spec == expected.spec and pair.source_rows == 300
+            assert (pair.b_sketch is pair.a_sketch) == same
 
 
 class TestNestedOracle:
