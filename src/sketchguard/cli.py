@@ -6,13 +6,11 @@ Subcommands: ``sketch`` (compress a pair and store it), ``bootstrap``
 truth curve), and ``experiment`` (oracle curve plus repeated extrapolated
 estimates, written as one CSV).
 
-Option precedence is flags, then the ``--config`` key=value file, then the
-defaults in ``_OPTIONS``. A config key is the flag without its dashes, with
-``-`` or ``_`` (``t-grid`` or ``t_grid``); its value is parsed exactly as the
-flag's, and ``normalize = false`` means ``--no-normalize``. ``bootstrap
---out`` writes the extrapolation table, so it needs ``--t-grid``; ``bootstrap
---pair`` takes the stored sketch, so data and sketch flags are errors with it
-(config keys for them are ignored).
+``@FILE`` reads flags from an options file in place, several to a line, with
+``#`` comments; a flag given later wins over one given earlier, and the
+defaults are in ``_OPTIONS``. ``bootstrap --out`` writes the extrapolation
+table, so it needs ``--t-grid``; ``bootstrap --pair`` takes the stored
+sketch, so data and sketch flags are errors with it.
 Logs go to standard error; results go to stdout or the ``--out`` file.
 Exit codes: 0 success, 2 usage or spec error, 3 data error (including a
 ``--pair`` file that is not a stored sketch pair), 4 numerical failure
@@ -292,31 +290,6 @@ def _to_synth(s: str) -> tuple[int, int, RankMode]:
         raise argparse.ArgumentTypeError(f"synth mode must be low or high, got {mode!r}") from None
 
 
-def _to_bool(s: str, name: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise SpecError(f"{name} must be a boolean, got {s!r}")
-
-
-def load_config(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments are skipped."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise SpecError(f"{path}: line {line_no}: expected key=value")
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-_ALL = "sketch bootstrap plan oracle experiment"
 _DATA = "sketch bootstrap oracle experiment"
 
 # One row per option: the subcommands that take it, its flag, type, default
@@ -339,7 +312,7 @@ _OPTIONS = (
     ("sketch bootstrap plan experiment", "--t0", int, None, "initial sketch size (default: d/2)"),
     ("bootstrap oracle experiment", "--t-grid", _to_grid, None,
      "comma list of sketch sizes (default: 8 log-spaced from d/2 to 10d)"),
-    ("bootstrap plan oracle experiment", "--alpha", _finite("alpha"), ExperimentSpec.alpha,
+    ("bootstrap oracle experiment", "--alpha", _finite("alpha"), ExperimentSpec.alpha,
      "quantile tail level"),
     ("bootstrap plan experiment", "--boot-samples", int, ExperimentSpec.boot_samples,
      "bootstrap replicates B"),
@@ -347,7 +320,6 @@ _OPTIONS = (
      "bootstrap scheme: " + "|".join(BootstrapScheme)),
     (_DATA, "--seed", int, ExperimentSpec.seed, "base seed, 64-bit unsigned"),
     (_DATA, "--out", None, None, "output file path"),
-    (_ALL, "--config", None, None, "key=value config file (flags override it)"),
 )
 
 
@@ -393,10 +365,9 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     if args.out is not None and args.t_grid is None:
         raise SpecError("--out needs --t-grid: bootstrap writes only the extrapolation table")
     if args.pair is not None:
-        # Only the command line counts: a shared config may set the data options.
         given = [f"--{name}" for name in ("data", "synth", "kind", "t0")
-                 if getattr(args.flags, name) is not None]
-        if not args.flags.normalize:
+                 if getattr(args, name) is not None]
+        if not args.normalize:
             given.append("--no-normalize")
         if given:
             raise SpecError(f"--pair takes the stored sketch; drop {', '.join(given)}")
@@ -415,10 +386,13 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     _require(args, "t0", "qhat", "epsilon")
-    est = QuantileEstimate(t0=args.t0, alpha=args.alpha, value=args.qhat, samples=(args.qhat,))
+    if (args.n is None) != (args.d is None):
+        raise SpecError("--n and --d go together: give both for the budget ratio, or neither")
+    # Planning reads only t0 and the value; alpha just completes a valid estimate.
+    est = QuantileEstimate(args.t0, ExperimentSpec.alpha, args.qhat, (args.qhat,))
     t = plan_sketch_size(est, args.epsilon)
     print(f"t = {t}")
-    if args.n is not None and args.d is not None:
+    if args.n is not None:
         ratio = budget_check(args.boot_samples, t, args.t0, args.n, args.d)
         print(f"budget_ratio = {ratio:.9g}")
     return EXIT_OK
@@ -470,15 +444,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SpecError(message)
 
+    def convert_arg_line_to_args(self, arg_line):
+        return arg_line.partition("#")[0].split()
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The sketchguard parser; ``defaults`` replace _OPTIONS' and parse like flag values."""
+
+def build_parser() -> argparse.ArgumentParser:
+    """The sketchguard parser; ``@FILE`` arguments read flags from FILE."""
     parser = _Parser(
         prog="sketchguard",
         description=(
             "Sketched matrix products with bootstrap estimates of the "
-            "error-versus-sketch-size tradeoff."
+            "error-versus-sketch-size tradeoff. @FILE reads flags from FILE, "
+            "whitespace-separated, # starts a comment; a later flag wins."
         ),
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, summary) in _COMMANDS.items():
@@ -491,35 +470,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
             else:
                 shown = "" if default is None else " (default %(default)s)"
                 sp.add_argument(flag, type=convert, default=default, help=help_text + shown)
-        sp.set_defaults(func=func, **(defaults or {}))
+        sp.set_defaults(func=func)
     return parser
-
-
-def _parse(argv) -> argparse.Namespace:
-    """Parse argv; --config values become the subcommand's defaults, so flags win.
-
-    ``args.flags`` is argv parsed without the config file, so a command can
-    tell an option given on the command line from a config key.
-    """
-    flags = build_parser().parse_args(argv)
-    args = argparse.Namespace(**vars(flags))
-    if flags.config is not None:
-        options = vars(flags).keys() - {"command", "func", "config"}
-        config = load_config(flags.config)
-        if "no_normalize" in config:
-            raise SpecError("config key no-normalize is not accepted; write normalize = false")
-        config = {k: v for k, v in config.items() if k in options}
-        if "normalize" in config:
-            config["normalize"] = _to_bool(config["normalize"], "normalize")
-        args = build_parser(config).parse_args(argv)
-    args.flags = flags
-    return args
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     try:
-        args = _parse(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code

@@ -128,9 +128,9 @@ def gaussian_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> Sketch
         s_block = gen.standard_normal((stop - start, n))
         s_block *= scale
         with np.errstate(over="ignore", invalid="ignore"):  # _wrap raises on overflow
-            out_a[start:stop] = s_block @ a.array
+            np.matmul(s_block, a.array, out=out_a[start:stop])
             if out_b is not out_a:
-                out_b[start:stop] = s_block @ b.array
+                np.matmul(s_block, b.array, out=out_b[start:stop])
     a_sk = DenseMatrix._wrap(out_a)
     b_sk = a_sk if out_b is out_a else DenseMatrix._wrap(out_b)
     return SketchPair(a_sk, b_sk, spec, n)

@@ -1,4 +1,4 @@
-"""Command-line surface tests: subcommands, exit codes, CSV output, config."""
+"""Command-line surface tests: subcommands, exit codes, CSV output, options files."""
 
 import numpy as np
 import pytest
@@ -58,6 +58,15 @@ class TestPlanCommand:
     def test_missing_required_flag(self, capsys):
         code, _ = run_cli(capsys, "plan", "--t0", "500", "--epsilon", "0.05")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [("--n", "30000"), ("--d", "1000")])
+    def test_budget_size_alone_is_usage_error_naming_both(self, capsys, caplog, flag, value):
+        code, out = run_cli(
+            capsys, "plan", "--t0", "500", "--qhat", "0.2", "--epsilon", "0.05", flag, value
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--n" in caplog.text and "--d" in caplog.text
 
     @pytest.mark.parametrize(
         "qhat,epsilon,message",
@@ -452,28 +461,55 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
 
 
+def _options_file(tmp_path, text):
+    path = tmp_path / "run.args"
+    path.write_text(text, encoding="utf-8")
+    return "@" + str(path)
+
+
 class TestConfigFile:
     def test_config_supplies_missing_values(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# planning defaults\nqhat = 0.3\nepsilon = 0.1\n", encoding="utf-8")
-        code, out = run_cli(capsys, "plan", "--t0", "100", "--config", str(cfg))
+        args = _options_file(
+            tmp_path, "# planning defaults\n--qhat 0.3  # at t0\n   \n\n--epsilon 0.1 # --qhat 9\n"
+        )
+        code, out = run_cli(capsys, "plan", "--t0", "100", args)
         assert code == 0
-        assert "t = 900" in out
+        assert out == "t = 900\n"
 
     def test_flags_override_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("qhat=0.3\nepsilon=0.1\n", encoding="utf-8")
-        code, out = run_cli(
-            capsys, "plan", "--t0", "100", "--qhat", "0.2", "--config", str(cfg)
-        )
+        args = _options_file(tmp_path, "--qhat 0.3 --epsilon 0.1\n")
+        code, out = run_cli(capsys, "plan", "--t0", "100", args, "--qhat", "0.2")
         assert code == 0
         assert "t = 400" in out
 
-    def test_malformed_config_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("qhat 0.3\n", encoding="utf-8")
-        code, _ = run_cli(capsys, "plan", "--t0", "100", "--config", str(cfg))
+    def test_flag_before_the_file_loses_to_it(self, capsys, tmp_path):
+        args = _options_file(tmp_path, "--qhat 0.3 --epsilon 0.1\n")
+        code, out = run_cli(capsys, "plan", "--t0", "100", "--qhat", "0.2", args)
+        assert code == 0
+        assert "t = 900" in out
+
+    def test_malformed_config_is_usage_error(self, capsys, caplog, tmp_path):
+        args = _options_file(tmp_path, "qhat 0.3\n")
+        code, out = run_cli(
+            capsys, "plan", "--t0", "100", "--qhat", "0.3", "--epsilon", "0.1", args
+        )
         assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: qhat 0.3" in caplog.text
+
+    def test_misspelled_flag_is_usage_error_naming_it(self, capsys, caplog, tmp_path):
+        args = _options_file(tmp_path, "--kind gaussian\n--boot-sampels 200\n")
+        code, out = run_cli(capsys, "bootstrap", "--synth", "64,8,high", args)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--boot-sampels" in caplog.text
+
+    def test_missing_file_is_usage_error_naming_it(self, capsys, caplog, tmp_path):
+        missing = tmp_path / "absent.args"
+        code, out = run_cli(capsys, "plan", "--t0", "100", "@" + str(missing))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(missing) in caplog.text
 
 
 class TestDefaultGrid:
@@ -502,15 +538,15 @@ class TestOptionTable:
             name: {s for a in p._actions for s in a.option_strings}
             for name, p in sub.choices.items()
         }
-        common = {"-h", "--help", "--seed", "--config"}
+        common = {"-h", "--help", "--seed"}
         data = {"--data", "--synth", "--no-normalize", "--kind", "--out"}
         assert flags == {
             "sketch": common | data | {"--t0"},
             "bootstrap": common | data | {
                 "--pair", "--t0", "--t-grid", "--alpha", "--boot-samples", "--scheme",
             },
-            "plan": {"-h", "--help", "--config"} | {
-                "--qhat", "--epsilon", "--n", "--d", "--t0", "--alpha", "--boot-samples",
+            "plan": {"-h", "--help"} | {
+                "--qhat", "--epsilon", "--n", "--d", "--t0", "--boot-samples",
             },
             "oracle": common | data | {"--reps", "--t-grid", "--alpha"},
             "experiment": common | data | {
@@ -530,36 +566,29 @@ class TestConfigValuesParseLikeFlags:
         )
         return out
 
-    def config(self, tmp_path, text):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text, encoding="utf-8")
-        return str(cfg)
-
     def test_hyphenated_grid_key(self, tmp_path, capsys, pair_file):
-        cfg = self.config(tmp_path, "t-grid = 16,32\n")
-        code, via_config = run_cli(capsys, "bootstrap", "--pair", str(pair_file), "--config", cfg)
+        args = _options_file(tmp_path, "--t-grid 16,32\n")
+        code, via_file = run_cli(capsys, "bootstrap", "--pair", str(pair_file), args)
         assert code == 0
         _, via_flag = run_cli(capsys, "bootstrap", "--pair", str(pair_file), "--t-grid", "16,32")
-        assert via_config == via_flag
-        assert "q_ext(32)" in via_config
+        assert via_file == via_flag
+        assert "q_ext(32)" in via_file
 
     def test_kind_key(self, tmp_path, capsys):
         out = tmp_path / "p.npz"
-        cfg = self.config(tmp_path, "kind = srht\n")
-        code, _ = run_cli(
-            capsys, "sketch", "--synth", "64,8,high", "--out", str(out), "--config", cfg
-        )
+        args = _options_file(tmp_path, "--kind srht\n")
+        code, _ = run_cli(capsys, "sketch", "--synth", "64,8,high", "--out", str(out), args)
         assert code == 0
         assert load_pair(out).spec.kind is SketchKind.SRHT
 
     def test_scheme_key(self, tmp_path, capsys, pair_file):
-        cfg = self.config(tmp_path, "scheme = nonparametric\n")
-        _, via_config = run_cli(capsys, "bootstrap", "--pair", str(pair_file), "--config", cfg)
+        args = _options_file(tmp_path, "--scheme nonparametric\n")
+        _, via_file = run_cli(capsys, "bootstrap", "--pair", str(pair_file), args)
         _, via_flag = run_cli(
             capsys, "bootstrap", "--pair", str(pair_file), "--scheme", "nonparametric"
         )
         _, multiplier = run_cli(capsys, "bootstrap", "--pair", str(pair_file))
-        assert via_config == via_flag != multiplier
+        assert via_file == via_flag != multiplier
 
     def test_normalize_false_matches_no_normalize_flag(self, tmp_path, capsys):
         data = tmp_path / "data.txt"
@@ -567,43 +596,44 @@ class TestConfigValuesParseLikeFlags:
             "".join(f"1 1:{i + 1} 2:{(i * 7) % 5 - 2} 3:{i % 3}\n" for i in range(40)),
             encoding="utf-8",
         )
-        cfg = self.config(tmp_path, "normalize = false\n")
+        args = _options_file(tmp_path, "--no-normalize\n")
         base = ["oracle", "--data", str(data), "--kind", "uniform", "--t-grid", "4,8",
                 "--reps", "10", "--seed", "1"]
         outs = {}
-        for name, extra in [("config", ["--config", cfg]), ("flag", ["--no-normalize"]),
-                            ("normalized", [])]:
+        for name, extra in [("file", [args]), ("flag", ["--no-normalize"]), ("normalized", [])]:
             outs[name] = tmp_path / f"{name}.csv"
             code, _ = run_cli(capsys, *base, *extra, "--out", str(outs[name]))
             assert code == 0
-        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
-        assert outs["config"].read_bytes() != outs["normalized"].read_bytes()
+        assert outs["file"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["file"].read_bytes() != outs["normalized"].read_bytes()
 
     @pytest.mark.parametrize(
         "line,message",
         [
-            ("t0 = abc", "--t0"),
-            ("t-grid = 8,x", "--t-grid"),
-            ("kind = fourier", "--kind"),
-            ("scheme = jackknife", "--scheme"),
-            ("alpha = inf", "alpha must be a finite number"),
-            ("normalize = maybe", "normalize must be a boolean"),
-            ("no-normalize = true", "write normalize = false"),
-            ("no_normalize = 1", "write normalize = false"),
+            ("--t0 abc", "argument --t0: invalid int value: 'abc'"),
+            ("--t-grid 8,x", "--t-grid"),
+            ("--kind fourier", "--kind"),
+            ("--scheme jackknife", "--scheme"),
+            ("--alpha inf", "alpha must be a finite number"),
         ],
+        # each id names the bad setting, then the expected message
+        ids=["t0 = abc---t0", "t-grid = 8,x---t-grid", "kind = fourier---kind",
+             "scheme = jackknife---scheme", "alpha = inf-alpha must be a finite number"],
     )
     def test_bad_value_is_usage_error_naming_the_option(
         self, tmp_path, capsys, caplog, line, message
     ):
-        cfg = self.config(tmp_path, "kind = gaussian\n" + line + "\n")
-        code, out = run_cli(capsys, "bootstrap", "--synth", "64,8,high", "--config", cfg)
+        args = _options_file(tmp_path, "--kind gaussian\n" + line + "\n")
+        code, out = run_cli(capsys, "bootstrap", "--synth", "64,8,high", args)
         assert code == EXIT_USAGE
         assert out == ""
         assert message in _caplog_message(caplog)
 
 
 class TestOptionsACommandDoesNotRead:
-    @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--scheme", "nonparametric")])
+    @pytest.mark.parametrize(
+        "flag,value", [("--seed", "5"), ("--scheme", "nonparametric"), ("--alpha", "0.4")]
+    )
     def test_plan_rejects_seed_and_scheme(self, capsys, flag, value):
         code, out = run_cli(
             capsys, "plan", "--t0", "500", "--qhat", "0.2", "--epsilon", "0.05", flag, value
@@ -611,14 +641,12 @@ class TestOptionsACommandDoesNotRead:
         assert code == EXIT_USAGE
         assert out == ""
 
-    def test_plan_ignores_shared_config_seed(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 5\nscheme = nonparametric\nqhat = 0.2\n", encoding="utf-8")
-        code, out = run_cli(
-            capsys, "plan", "--t0", "500", "--epsilon", "0.05", "--config", str(cfg)
-        )
-        assert code == 0
-        assert out == "t = 8000\n"
+    def test_plan_rejects_seed_and_scheme_from_a_file(self, capsys, caplog, tmp_path):
+        args = _options_file(tmp_path, "--seed 5\n--scheme nonparametric\n--qhat 0.2\n")
+        code, out = run_cli(capsys, "plan", "--t0", "500", "--epsilon", "0.05", args)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--seed" in caplog.text and "--scheme" in caplog.text
 
     @pytest.mark.parametrize(
         "extra",
@@ -645,24 +673,17 @@ class TestOptionsACommandDoesNotRead:
         for flag in (a for a in extra if a.startswith("--")):
             assert flag in message
 
-    def test_bootstrap_pair_ignores_shared_config_data_keys(self, tmp_path, capsys, caplog):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "synth = 64,8,high\nkind = gaussian\nt0 = 8\nseed = 5\nnormalize = false\n",
-            encoding="utf-8",
-        )
+    def test_bootstrap_pair_rejects_data_options_from_a_file(self, tmp_path, capsys, caplog):
+        args = _options_file(tmp_path, "--synth 64,8,high --kind gaussian --t0 8\n--seed 5\n")
         pair_file = tmp_path / "pair.npz"
-        code, _ = run_cli(capsys, "sketch", "--config", str(cfg), "--out", str(pair_file))
+        code, _ = run_cli(capsys, "sketch", args, "--out", str(pair_file))
         assert code == 0
-        code, out = run_cli(capsys, "bootstrap", "--config", str(cfg), "--pair", str(pair_file))
-        assert code == 0
-        assert out == run_cli(capsys, "bootstrap", "--pair", str(pair_file), "--seed", "5")[1]
-        code, out = run_cli(
-            capsys, "bootstrap", "--config", str(cfg), "--pair", str(pair_file), "--t0", "16"
-        )
+        code, out = run_cli(capsys, "bootstrap", args, "--pair", str(pair_file))
         assert code == EXIT_USAGE
+        assert out == ""
         message = _caplog_message(caplog)
-        assert "--t0" in message and "--synth" not in message
+        for flag in ("--synth", "--kind", "--t0"):
+            assert flag in message
 
 
 class TestBootstrapOut:
