@@ -10,6 +10,9 @@ only in the weights:
 * non-parametric scheme: the counts of t rows resampled with replacement,
   minus one, which reproduces the error of the jointly resampled product.
 
+The B weight vectors are the rows of one (B, t) matrix read row-major from
+one Philox stream, and each block of rows is scored by one batched product.
+
 The (1 - alpha) interpolated quantile of B such samples estimates the
 tightest error bound holding with probability 1 - alpha at the current
 sketch size t0, and the inverse-square-root scaling of that bound in t
@@ -28,6 +31,11 @@ import numpy as np
 from .matcore import check_finite_result
 from .rng import check_seed, substream
 from .sketch import SketchPair
+
+# bootstrap_quantile scores replicates in blocks; a block's largest
+# temporaries, its scaled copies of B~ and its products A~^T (.) B~, hold at
+# most this many entries, so peak memory does not grow with B.
+MAX_BOOT_BLOCK_ENTRIES = 1 << 17
 
 __all__ = [
     "BootstrapScheme",
@@ -87,21 +95,21 @@ class QuantileEstimate:
             raise ValueError("bootstrap samples and their quantile are nonnegative")
 
 
-def multiplier_error(pair: SketchPair, xi) -> float:
-    """Perturbation error for one vector of multiplier weights.
+def multiplier_error(pair: SketchPair, weights) -> np.ndarray:
+    """Perturbation errors for a (B, t) matrix of weights, one per row.
 
-    Evaluates max-abs of (xibar * (A~^T B~) - A~^T diag(xi) B~) without
-    materializing diag(xi): the two terms combine into a single product of
-    A~^T with the rows of B~ scaled by (xibar - xi).
+    Row b gives max-abs of (xibar * (A~^T B~) - A~^T diag(xi) B~) for its
+    weights xi, without materializing diag(xi): the two terms combine into
+    one product of A~^T with the rows of B~ scaled by (xibar - xi), and the
+    B products run as one batched matmul.
     """
-    w = np.asarray(xi, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     t = pair.t
-    if w.shape != (t,):
-        raise ValueError(f"weights must have shape ({t},), got {w.shape}")
-    a = pair.a_sketch.array
-    b = pair.b_sketch.array
-    m = a.T @ ((w.mean() - w)[:, None] * b)
-    return float(np.abs(m).max())
+    if w.ndim != 2 or w.shape[1] != t:
+        raise ValueError(f"weights must have shape (B, {t}), got {w.shape}")
+    c = w.mean(axis=1, keepdims=True) - w
+    m = np.matmul(pair.a_sketch.array.T, c[:, :, None] * pair.b_sketch.array)
+    return np.abs(m).max(axis=(1, 2))
 
 
 def empirical_quantile(samples, p: float) -> float:
@@ -126,28 +134,38 @@ def empirical_quantile(samples, p: float) -> float:
     return float(vals[lo] + frac * (vals[hi] - vals[lo]))
 
 
-def _weights(scheme: BootstrapScheme, rng: np.random.Generator, t: int) -> np.ndarray:
-    """One replicate's weights: standard normals, or resampling counts minus one."""
+def _weights(scheme: BootstrapScheme, gen: np.random.Generator, rows: int, t: int) -> np.ndarray:
+    """Weights of the next ``rows`` replicates: normals, or resampling counts minus one."""
     if scheme is BootstrapScheme.MULTIPLIER:
-        return rng.standard_normal(t)
-    return np.bincount(rng.integers(0, t, t), minlength=t) - 1
+        return gen.standard_normal((rows, t))
+    idx = gen.integers(0, t, (rows, t)) + t * np.arange(rows)[:, None]
+    return (np.bincount(idx.ravel(), minlength=rows * t) - 1).reshape(rows, t)
 
 
 def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstimate:
     """Run B replicates of the configured scheme and take the (1 - alpha) quantile.
 
-    Replicate b draws its weight vector from stream (cfg.seed, b), so runs
-    are prefix-stable: increasing the replicate count reproduces the earlier
-    samples. A sample that overflows raises NonFiniteResultError.
+    Replicate b's weights are row b of a (B, t) matrix read row-major from
+    the one stream (cfg.seed, 0). The rows are read and scored in blocks
+    whose temporaries hold at most MAX_BOOT_BLOCK_ENTRIES entries (or one
+    replicate's). The stream's draws do not depend on how they are split, so
+    the samples do not depend on the block size, and runs are prefix-stable:
+    increasing the replicate count reproduces the earlier samples. A sample
+    that overflows raises NonFiniteResultError.
     """
+    t, da, db = pair.t, pair.a_sketch.cols, pair.b_sketch.cols
+    block = max(1, MAX_BOOT_BLOCK_ENTRIES // (max(t, da) * db))
+    gen = substream(cfg.seed, 0)
+    samples = np.empty(cfg.replicates)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = tuple(
-            multiplier_error(pair, _weights(cfg.scheme, substream(cfg.seed, b), pair.t))
-            for b in range(cfg.replicates)
-        )
-    check_finite_result(np.asarray(samples), "a bootstrap sample")
+        for start in range(0, cfg.replicates, block):
+            stop = min(cfg.replicates, start + block)
+            samples[start:stop] = multiplier_error(
+                pair, _weights(cfg.scheme, gen, stop - start, t)
+            )
+    check_finite_result(samples, "a bootstrap sample")
     value = empirical_quantile(samples, 1.0 - cfg.alpha)
-    return QuantileEstimate(t0=pair.t, alpha=cfg.alpha, value=value, samples=samples)
+    return QuantileEstimate(t0=t, alpha=cfg.alpha, value=value, samples=tuple(samples.tolist()))
 
 
 def extrapolate(est: QuantileEstimate, t: int) -> float:

@@ -6,8 +6,8 @@ Subcommands: ``sketch`` (compress a pair and store it), ``bootstrap``
 truth curve), and ``experiment`` (oracle curve plus repeated extrapolated
 estimates, written as one CSV).
 
-``@FILE`` reads flags from an options file in place, several to a line, with
-``#`` comments; a flag given later wins over one given earlier, and the
+``@FILE`` reads flags from a UTF-8 options file in place, several to a line,
+with ``#`` comments; a flag given later wins over one given earlier, and the
 defaults are in ``_OPTIONS``. ``bootstrap --out`` writes the extrapolation
 table, so it needs ``--t-grid``; ``bootstrap --pair`` takes the stored
 sketch, so data and sketch flags are errors with it.
@@ -444,12 +444,31 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SpecError(message)
 
-    def convert_arg_line_to_args(self, arg_line):
-        return arg_line.partition("#")[0].split()
+    def expand_options_files(self, args: list[str]) -> list[str]:
+        """Replace each ``@FILE`` argument by the flags written in FILE.
+
+        FILE is read as UTF-8; its flags are whitespace-separated, ``#``
+        starts a comment, and it may name further ``@FILE`` arguments. A file
+        that cannot be opened or decoded is a usage error that names it.
+        """
+        out = []
+        for arg in args:
+            if not arg.startswith("@"):
+                out.append(arg)
+                continue
+            try:
+                with open(arg[1:], encoding="utf-8") as f:
+                    lines = f.read().splitlines()
+            except (OSError, UnicodeDecodeError) as exc:
+                self.error(f"options file {arg[1:]}: {exc}")
+            out += self.expand_options_files(
+                [flag for line in lines for flag in line.partition("#")[0].split()]
+            )
+        return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The sketchguard parser; ``@FILE`` arguments read flags from FILE."""
+def build_parser() -> _Parser:
+    """The sketchguard parser; main expands ``@FILE`` arguments before parsing."""
     parser = _Parser(
         prog="sketchguard",
         description=(
@@ -457,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
             "error-versus-sketch-size tradeoff. @FILE reads flags from FILE, "
             "whitespace-separated, # starts a comment; a later flag wins."
         ),
-        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, summary) in _COMMANDS.items():
@@ -477,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(
+            parser.expand_options_files(sys.argv[1:] if argv is None else list(argv))
+        )
         return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code

@@ -1,4 +1,10 @@
-"""Thread-pool helper honoring the SKETCHGUARD_THREADS cap (0 or unset = auto)."""
+"""Thread-pool helper honoring the SKETCHGUARD_THREADS cap.
+
+Unset means one worker: every work item already calls a threaded BLAS, and
+pool threads running Python-level loops beside it contend for the
+interpreter lock, so serial runs measured faster and smaller. 0 means one
+worker per core.
+"""
 
 from __future__ import annotations
 
@@ -10,15 +16,15 @@ ENV_VAR = "SKETCHGUARD_THREADS"
 
 def thread_cap() -> int:
     raw = os.environ.get(ENV_VAR, "").strip()
-    if raw in ("", "0"):
-        return os.cpu_count() or 1
+    if raw == "":
+        return 1
     try:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"{ENV_VAR} must be nonnegative, got {value}")
-    return value
+    return value or os.cpu_count() or 1
 
 
 def run_indexed(fn, count: int) -> list:

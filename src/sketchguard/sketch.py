@@ -145,7 +145,8 @@ def length_sampling_probs(a: DenseMatrix, b: DenseMatrix) -> np.ndarray:
     """
     _check_pair_inputs(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.linalg.norm(a.array, axis=1) * np.linalg.norm(b.array, axis=1)
+        nrm = np.linalg.norm(a.array, axis=1)
+        w = nrm * (nrm if b is a else np.linalg.norm(b.array, axis=1))
         total = float(check_finite_result(w.sum(), "the sum of length-sampling weights"))
     if total == 0.0:
         raise LengthSamplingError("all row-norm products are zero; length sampling undefined")

@@ -64,8 +64,9 @@ def test_criterion_01_multiplier_closed_form_equals_dyad_form():
         a = DenseMatrix(rng.standard_normal((n, d)))
         b = DenseMatrix(rng.standard_normal((n, dp)))
         pair = gaussian_sketch(a, b, t, trial)
-        xi = substream(102, trial).standard_normal(t)
-        diff = abs(multiplier_error(pair, xi) - dyad_form_error(pair, xi))
+        xi = substream(102, trial).standard_normal((3, t))
+        dyad = [dyad_form_error(pair, row) for row in xi]
+        diff = float(np.abs(multiplier_error(pair, xi) - dyad).max())
         worst = max(worst, diff)
         assert diff <= 1e-12
     elapsed = time.monotonic() - started

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sketchguard import booterr
 from sketchguard.booterr import (
     BootstrapConfig,
     BootstrapScheme,
@@ -56,22 +58,25 @@ class TestMultiplierSample:
     def test_matches_dyad_form_with_fixed_weights(self):
         pair = make_pair(8, 3, 2, seed=3)
         xi = substream(9, 0).standard_normal(8)
-        got = multiplier_error(pair, xi)
+        got = multiplier_error(pair, xi[None])
         want = dyad_form_error(pair, xi)
-        assert abs(got - want) <= 1e-12
+        assert got.shape == (1,)
+        assert abs(got[0] - want) <= 1e-12
 
     def test_dyad_form_equivalence_random_instances(self):
         rng = np.random.default_rng(5)
         for trial in range(25):
             t = int(rng.integers(2, 33))
             pair = make_pair(t, int(rng.integers(1, 7)), int(rng.integers(1, 7)), seed=trial)
-            xi = substream(6, trial).standard_normal(t)
-            assert abs(multiplier_error(pair, xi) - dyad_form_error(pair, xi)) <= 1e-12
+            xi = substream(6, trial).standard_normal((4, t))
+            want = [dyad_form_error(pair, row) for row in xi]
+            assert np.abs(multiplier_error(pair, xi) - want).max() <= 1e-12
 
     def test_weight_shape_validated(self):
         pair = make_pair(4, 2, 2)
-        with pytest.raises(ValueError):
-            multiplier_error(pair, np.zeros(3))
+        for shape in ((2, 3), (4,), (1, 2, 4)):
+            with pytest.raises(ValueError, match=r"shape \(B, 4\)"):
+                multiplier_error(pair, np.zeros(shape))
 
 
 class TestNonFiniteSamples:
@@ -125,22 +130,22 @@ class TestMultinomialWeights:
     def test_identity_counts_give_zero(self):
         pair = make_pair(4, 2, 3, seed=9)
         counts = np.ones(4)
-        assert multiplier_error(pair, counts - 1.0) == 0.0
+        assert multiplier_error(pair, [counts - 1.0])[0] == 0.0
 
     def test_pairs_with_row_resampling_on_shared_indices(self):
         pair = make_pair(3, 2, 2, seed=10)
         idx = np.array([0, 0, 2])
         counts = np.bincount(idx, minlength=3)
-        got = multiplier_error(pair, counts - 1.0)
+        got = multiplier_error(pair, [counts - 1.0])[0]
         want = resample_error(pair, idx)
         assert abs(got - want) <= 1e-12
 
     def test_pairing_holds_across_random_index_draws(self):
         pair = make_pair(6, 3, 2, seed=11)
-        for b in range(50):
-            idx = substream(12, b).integers(0, 6, 6)
-            counts = np.bincount(idx, minlength=6)
-            assert abs(multiplier_error(pair, counts - 1.0) - resample_error(pair, idx)) <= 1e-12
+        idx = substream(12, 0).integers(0, 6, (50, 6))
+        counts = np.array([np.bincount(row, minlength=6) for row in idx])
+        want = [resample_error(pair, row) for row in idx]
+        assert np.abs(multiplier_error(pair, counts - 1.0) - want).max() <= 1e-12
 
     def test_weight_moments(self):
         # Counts from t balls in t equal bins: weights are centered with
@@ -200,8 +205,7 @@ def reference_bootstrap(pair: SketchPair, cfg: BootstrapConfig) -> float:
     """Independent re-implementation: explicit diagonal weights, manual quantile."""
     t = pair.t
     values = []
-    for b in range(cfg.replicates):
-        xi = substream(cfg.seed, b).standard_normal(t)
+    for xi in substream(cfg.seed, 0).standard_normal((cfg.replicates, t)):
         w = np.diag(np.full(t, xi.mean()) - xi)
         m = pair.a_sketch.array.T @ (w @ pair.b_sketch.array)
         values.append(float(np.abs(m).max()))
@@ -210,6 +214,28 @@ def reference_bootstrap(pair: SketchPair, cfg: BootstrapConfig) -> float:
     lo = int(pos)
     hi = min(lo + 1, len(values) - 1)
     return values[lo] + (pos - lo) * (values[hi] - values[lo])
+
+
+def per_replicate_stream_samples(pair: SketchPair, cfg: BootstrapConfig) -> np.ndarray:
+    """The earlier sampler's layout: replicate b drew its weights from stream (seed, b)."""
+    t = pair.t
+    rows = []
+    for b in range(cfg.replicates):
+        gen = substream(cfg.seed, b)
+        if cfg.scheme is BootstrapScheme.MULTIPLIER:
+            rows.append(gen.standard_normal(t))
+        else:
+            rows.append(np.bincount(gen.integers(0, t, t), minlength=t) - 1.0)
+    return multiplier_error(pair, np.array(rows))
+
+
+def ks_distance(x, y) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: largest gap between empirical CDFs."""
+    x, y = np.sort(x), np.sort(y)
+    grid = np.concatenate([x, y])
+    fx = np.searchsorted(x, grid, side="right") / x.size
+    fy = np.searchsorted(y, grid, side="right") / y.size
+    return float(np.abs(fx - fy).max())
 
 
 class TestBootstrapQuantile:
@@ -276,11 +302,32 @@ class TestBootstrapQuantile:
         pair = make_pair(7, 2, 2, seed=25)
         cfg = BootstrapConfig("nonparametric", 12, 0.1, 2)
         est = bootstrap_quantile(pair, cfg)
-        want = tuple(
-            multiplier_error(pair, np.bincount(substream(2, b).integers(0, 7, 7), minlength=7) - 1)
-            for b in range(12)
-        )
-        assert est.samples == want
+        idx = substream(2, 0).integers(0, 7, (12, 7))
+        counts = np.array([np.bincount(row, minlength=7) for row in idx])
+        assert est.samples == tuple(multiplier_error(pair, counts - 1))
+
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    def test_samples_match_per_replicate_stream_distribution(self, scheme):
+        # One stream read row-major must give the same sample law as one
+        # stream per replicate: a two-sample KS test at level 0.001, where
+        # the critical distance for two samples of B is 1.949 sqrt(2 / B).
+        pair = make_pair(10, 3, 2, seed=30)
+        replicates = 4000
+        new = bootstrap_quantile(pair, BootstrapConfig(scheme, replicates, 0.05, 31)).samples
+        old = per_replicate_stream_samples(pair, BootstrapConfig(scheme, replicates, 0.05, 32))
+        assert ks_distance(new, old) <= 1.949 * math.sqrt(2 / replicates)
+
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    def test_samples_do_not_depend_on_block_size(self, scheme, monkeypatch):
+        pair = make_pair(9, 3, 2, seed=33)
+        cfg = BootstrapConfig(scheme, 50, 0.05, 34)
+        whole = bootstrap_quantile(pair, cfg)
+        # blocks of one, three and seven replicates: each holds max(t, d) d' = 18 per replicate
+        for cap in (1, 3 * 18, 7 * 18 + 17):
+            monkeypatch.setattr(booterr, "MAX_BOOT_BLOCK_ENTRIES", cap)
+            assert bootstrap_quantile(pair, cfg).samples == whole.samples
+            prefix = bootstrap_quantile(pair, replace(cfg, replicates=23))
+            assert prefix.samples == whole.samples[:23]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

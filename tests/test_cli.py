@@ -511,6 +511,23 @@ class TestConfigFile:
         assert out == ""
         assert str(missing) in caplog.text
 
+    def test_file_that_is_not_utf8_is_usage_error_naming_it(self, capsys, caplog, tmp_path):
+        bad = tmp_path / "bad.args"
+        bad.write_bytes(b"\xff\xfe--qhat 0.3\n")
+        code, out = run_cli(capsys, "plan", "--t0", "100", "--epsilon", "0.1", "@" + str(bad))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"options file {bad}: 'utf-8' codec can't decode byte 0xff" in caplog.text
+
+    def test_nested_file_is_read_in_place(self, capsys, tmp_path):
+        inner = tmp_path / "inner.args"
+        inner.write_text("--qhat 0.3\n", encoding="utf-8")
+        outer = tmp_path / "outer.args"
+        outer.write_text(f"--t0 100 @{inner}  # inner supplies --qhat\n", encoding="utf-8")
+        code, out = run_cli(capsys, "plan", "@" + str(outer), "--epsilon", "0.1")
+        assert code == 0
+        assert out == "t = 900\n"
+
 
 class TestDefaultGrid:
     def test_spans_half_d_to_ten_d(self):

@@ -115,6 +115,18 @@ class TestLengthSamplingProbs:
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert abs(got.sum() - 1.0) <= 1e-12
 
+    def test_shared_matrix_takes_one_norm_pass_and_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = DenseMatrix(rng.standard_normal((300, 7)))
+        twin = DenseMatrix(a.array.copy())
+        want = length_sampling_probs(a, twin)
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *x, **k: calls.append(1) or norm(*x, **k))
+        got = length_sampling_probs(a, a)
+        assert len(calls) == 1
+        assert np.array_equal(got, want)
+
     def test_zero_matrix_errors(self):
         z = DenseMatrix(np.zeros((4, 2)))
         m = DenseMatrix(np.ones((4, 2)))
