@@ -11,7 +11,8 @@ only in the weights:
   minus one, which reproduces the error of the jointly resampled product.
 
 The B weight vectors are the rows of one (B, t) matrix read row-major from
-one Philox stream, and each block of rows is scored by one batched product.
+one Philox stream, which no sketch kind reads, and each block of rows is
+scored by one batched product.
 
 The (1 - alpha) interpolated quantile of B such samples estimates the
 tightest error bound holding with probability 1 - alpha at the current
@@ -36,6 +37,11 @@ from .sketch import SketchPair
 # temporaries, its scaled copies of B~ and its products A~^T (.) B~, hold at
 # most this many entries, so peak memory does not grow with B.
 MAX_BOOT_BLOCK_ENTRIES = 1 << 17
+
+# Key of the weight stream under the bootstrap seed. The sketch kinds read
+# keys 0 and 1 under theirs, so a sketch and a bootstrap given the same seed
+# still draw independently.
+BOOT_STREAM_KEY = 2
 
 __all__ = [
     "BootstrapScheme",
@@ -146,16 +152,16 @@ def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstima
     """Run B replicates of the configured scheme and take the (1 - alpha) quantile.
 
     Replicate b's weights are row b of a (B, t) matrix read row-major from
-    the one stream (cfg.seed, 0). The rows are read and scored in blocks
-    whose temporaries hold at most MAX_BOOT_BLOCK_ENTRIES entries (or one
-    replicate's). The stream's draws do not depend on how they are split, so
+    the one stream (cfg.seed, BOOT_STREAM_KEY). The rows are read and scored
+    in blocks whose temporaries hold at most MAX_BOOT_BLOCK_ENTRIES entries
+    (or one replicate's). The stream's draws do not depend on how they are split, so
     the samples do not depend on the block size, and runs are prefix-stable:
     increasing the replicate count reproduces the earlier samples. A sample
     that overflows raises NonFiniteResultError.
     """
     t, da, db = pair.t, pair.a_sketch.cols, pair.b_sketch.cols
     block = max(1, MAX_BOOT_BLOCK_ENTRIES // (max(t, da) * db))
-    gen = substream(cfg.seed, 0)
+    gen = substream(cfg.seed, BOOT_STREAM_KEY)
     samples = np.empty(cfg.replicates)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cfg.replicates, block):

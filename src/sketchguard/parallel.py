@@ -1,9 +1,8 @@
 """Thread-pool helper honoring the SKETCHGUARD_THREADS cap.
 
-Unset means one worker: every work item already calls a threaded BLAS, and
-pool threads running Python-level loops beside it contend for the
-interpreter lock, so serial runs measured faster and smaller. 0 means one
-worker per core.
+Unset means one worker, 0 one worker per core. On a 2-core host with a
+threaded BLAS, serial runs measured faster and smaller than pooled ones; with
+a one-thread BLAS the pool was faster. Larger hosts were not measured.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sketchguard import booterr
+from sketchguard import booterr, sketch
 from sketchguard.booterr import (
+    BOOT_STREAM_KEY,
     BootstrapConfig,
     BootstrapScheme,
     QuantileEstimate,
@@ -21,7 +22,7 @@ from sketchguard.booterr import (
 )
 from sketchguard.matcore import DenseMatrix, NonFiniteResultError
 from sketchguard.rng import substream
-from sketchguard.sketch import SketchKind, SketchPair, SketchSpec, gaussian_sketch
+from sketchguard.sketch import SketchKind, SketchPair, SketchSpec, apply_spec, gaussian_sketch
 
 
 def make_pair(t: int, d: int, dp: int, seed: int = 0) -> SketchPair:
@@ -205,7 +206,7 @@ def reference_bootstrap(pair: SketchPair, cfg: BootstrapConfig) -> float:
     """Independent re-implementation: explicit diagonal weights, manual quantile."""
     t = pair.t
     values = []
-    for xi in substream(cfg.seed, 0).standard_normal((cfg.replicates, t)):
+    for xi in substream(cfg.seed, BOOT_STREAM_KEY).standard_normal((cfg.replicates, t)):
         w = np.diag(np.full(t, xi.mean()) - xi)
         m = pair.a_sketch.array.T @ (w @ pair.b_sketch.array)
         values.append(float(np.abs(m).max()))
@@ -302,7 +303,7 @@ class TestBootstrapQuantile:
         pair = make_pair(7, 2, 2, seed=25)
         cfg = BootstrapConfig("nonparametric", 12, 0.1, 2)
         est = bootstrap_quantile(pair, cfg)
-        idx = substream(2, 0).integers(0, 7, (12, 7))
+        idx = substream(2, BOOT_STREAM_KEY).integers(0, 7, (12, 7))
         counts = np.array([np.bincount(row, minlength=7) for row in idx])
         assert est.samples == tuple(multiplier_error(pair, counts - 1))
 
@@ -338,6 +339,45 @@ class TestBootstrapQuantile:
             BootstrapConfig("multiplier", 20, 0.0, 0)
         with pytest.raises(ValueError):
             BootstrapConfig("bogus", 20, 0.01, 0)
+
+
+class TestStreamsIndependentOfSketch:
+    """A sketch and a bootstrap given the same seed must not share draws."""
+
+    @pytest.mark.parametrize("kind", list(SketchKind))
+    def test_sketch_and_bootstrap_read_disjoint_streams(self, kind, monkeypatch):
+        seed = 5
+        opened = {"sketch": set(), "boot": set()}
+
+        def spy(which):
+            def wrapped(s, *key):
+                opened[which].add((s, key))
+                return substream(s, *key)
+            return wrapped
+
+        monkeypatch.setattr(sketch, "substream", spy("sketch"))
+        monkeypatch.setattr(booterr, "substream", spy("boot"))
+        m = DenseMatrix(np.random.default_rng(0).standard_normal((32, 3)))
+        pair = apply_spec(m, m, SketchSpec(kind, 6, seed))
+        bootstrap_quantile(pair, BootstrapConfig("multiplier", 10, 0.05, seed))
+        assert opened["sketch"] and opened["boot"]
+        assert opened["sketch"].isdisjoint(opened["boot"])
+
+    def test_multiplier_weights_are_not_entries_of_gaussian_s(self, monkeypatch):
+        n, t, seed = 40, 5, 1
+        eye = DenseMatrix(np.eye(n))
+        pair = gaussian_sketch(eye, eye, t, seed)
+        draws = (pair.a_sketch.array * math.sqrt(t)).ravel()  # the normals behind S
+        seen = []
+
+        def spy(p, w):
+            seen.append(np.array(w))
+            return multiplier_error(p, w)
+
+        monkeypatch.setattr(booterr, "multiplier_error", spy)
+        bootstrap_quantile(pair, BootstrapConfig("multiplier", 30, 0.05, seed))
+        weights = np.concatenate(seen).ravel()
+        assert np.abs(weights - draws[: weights.size]).min() > 1e-9
 
 
 class TestExtrapolation:
