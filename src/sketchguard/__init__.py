@@ -28,7 +28,7 @@ from .datagen import (
     synth_matrix,
 )
 from .matcore import DenseMatrix, NonFiniteResultError, ZeroMatrixError, matmul_t
-from .oracle import QuantileCurve, coverage_probe, mc_quantile_curve
+from .oracle import QuantileCurve, mc_quantile_curve
 from .sketch import (
     LengthSamplingError,
     SketchKind,
@@ -61,7 +61,6 @@ __all__ = [
     "apply_spec",
     "bootstrap_quantile",
     "budget_check",
-    "coverage_probe",
     "empirical_quantile",
     "extrapolate",
     "fwht_in_place",

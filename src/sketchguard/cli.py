@@ -135,13 +135,14 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    """Oracle curve plus per-t extrapolated-estimate statistics."""
+    """Oracle curve plus per-t extrapolated-estimate statistics and coverage."""
 
     t0: int
     curve: QuantileCurve
     est_mean: tuple[float, ...]
     est_lo: tuple[float, ...]
     est_hi: tuple[float, ...]
+    coverage: tuple[float, ...]
 
     @property
     def rows(self) -> list[tuple]:
@@ -159,9 +160,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     the ground-truth quantile, then ``estimator_reps`` independent
     t0-sketches, bootstrapping each and extrapolating across the grid. Both
     draw through the oracle's ``pair_sampler``: the bootstrap sees only the
-    sketch rows, whose law that sampler keeps. Writes ``spec.out`` when set:
-    one row per t with the oracle value and its 10%/90% bands next to the
-    mean extrapolated estimate and its 10%/90% percentiles.
+    sketch rows, whose law that sampler keeps. The two sets of draws come
+    from disjoint streams, so ``coverage`` at t is the share of all (estimator
+    rep, oracle realization) pairs whose error at t the rep's extrapolated
+    bound covers, with no further draws; calibrated, it is about 1 - alpha.
+    Writes ``spec.out`` when set: one row per t with the oracle value and its
+    10%/90% bands next to the mean extrapolated estimate and its 10%/90%
+    percentiles.
     """
     spec.validate()
     matrix = spec.data_source
@@ -198,6 +203,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         est_mean=tuple(float(ext.mean()) for ext in extrapolated),
         est_lo=tuple(empirical_quantile(ext, 0.1) for ext in extrapolated),
         est_hi=tuple(empirical_quantile(ext, 0.9) for ext in extrapolated),
+        coverage=tuple(float(np.searchsorted(np.sort(e), x, side="right").mean()) / curve.reps
+                       for e, x in zip(curve.errors.T, extrapolated)),
     )
     if spec.out is not None:
         write_curve_csv(spec.out, result.rows)
@@ -450,6 +457,9 @@ class _Parser(argparse.ArgumentParser):
         FILE is read as UTF-8; its flags are whitespace-separated, ``#``
         starts a comment, and it may name further ``@FILE`` arguments. A file
         that cannot be opened or decoded is a usage error that names it.
+
+        Not argparse's ``fromfile_prefix_chars``: on Python 3.11 its reader opens FILE in
+        the locale encoding, so valid UTF-8 fails under ASCII and misreads under Latin-1.
         """
         out = []
         for arg in args:

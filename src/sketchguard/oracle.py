@@ -1,9 +1,9 @@
 """Brute-force ground truth for validating bootstrap error estimates.
 
 These routines see the original matrices, which the bootstrap never does:
-they evaluate the actual sketching error, estimate its quantile curve by
-plain Monte Carlo over many sketch realizations, and measure how often an
-extrapolated bootstrap bound actually covers the realized error.
+they evaluate the actual sketching error and estimate its quantile curve by
+plain Monte Carlo over many sketch realizations, keeping the realized errors
+so that the coverage of an extrapolated bootstrap bound can be scored.
 
 Gaussian realizations are drawn in Gram space. Let ``[A B] = Q R`` be a
 reduced QR, with m columns and k = min(n, m) rows in R. Q has orthonormal
@@ -15,11 +15,11 @@ and each draw costs O(t k m), independent of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .booterr import BootstrapConfig, bootstrap_quantile, empirical_quantile, extrapolate
+from .booterr import empirical_quantile
 from .matcore import DenseMatrix, check_finite_result, matmul_t
 from .parallel import run_indexed
 from .rng import derive_seed
@@ -27,12 +27,12 @@ from .sketch import (
     SketchKind, SketchSpec, apply_spec, gaussian_sketch, length_sampling_probs, row_sample_sketch,
 )
 
-__all__ = ["QuantileCurve", "mc_quantile_curve", "coverage_probe"]
+__all__ = ["QuantileCurve", "mc_quantile_curve"]
 
 
 @dataclass(frozen=True)
 class QuantileCurve:
-    """Quantile values at increasing t, with 10%/90% percentile bands."""
+    """Quantile values at increasing t, 10%/90% bands, and the (reps x t) errors behind them."""
 
     alpha: float
     ts: tuple[int, ...]
@@ -40,6 +40,7 @@ class QuantileCurve:
     band_low: tuple[float, ...]
     band_high: tuple[float, ...]
     reps: int
+    errors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.ts, self.ts[1:])):
@@ -117,48 +118,13 @@ def mc_quantile_curve(
             return [float(np.abs((xa[:t].T @ xb[:t]) * (t_max / t) - truth).max()) for t in grid]
 
     errs = check_finite_result(np.array(run_indexed(errors, reps)), "a sketching error")
-    cols = errs.T
     return QuantileCurve(
         alpha=alpha,
         ts=tuple(grid),
-        values=tuple(empirical_quantile(e, 1.0 - alpha) for e in cols),
-        band_low=tuple(empirical_quantile(e, 0.1) for e in cols),
-        band_high=tuple(empirical_quantile(e, 0.9) for e in cols),
+        values=tuple(empirical_quantile(e, 1.0 - alpha) for e in errs.T),
+        band_low=tuple(empirical_quantile(e, 0.1) for e in errs.T),
+        band_high=tuple(empirical_quantile(e, 0.9) for e in errs.T),
         reps=reps,
+        errors=errs,
     )
 
-
-def coverage_probe(
-    a: DenseMatrix,
-    b: DenseMatrix,
-    kind: SketchKind,
-    t0: int,
-    t: int,
-    cfg: BootstrapConfig,
-    trials: int,
-    seed: int,
-) -> float:
-    """Fraction of trials where the extrapolated bound covers a fresh error draw.
-
-    Each trial bootstraps a new t0-pair (bootstrap streams are re-keyed per
-    trial from cfg.seed), extrapolates the quantile to t, then draws an
-    independent t-pair and checks whether its realized error stays below the
-    bound. Targets roughly 1 - alpha when the estimate is calibrated.
-    """
-    if not 1 <= t0 <= t:
-        raise ValueError(f"need t >= t0 >= 1, got t0={t0}, t={t}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    draw = pair_sampler(a, b, kind)
-    truth = matmul_t(a, b).array
-
-    def one_trial(i: int) -> bool:
-        pair0 = draw(t0, derive_seed(seed, i, 0))
-        est = bootstrap_quantile(pair0, replace(cfg, seed=derive_seed(cfg.seed, i)))
-        bound = extrapolate(est, t)
-        pair_t = draw(t, derive_seed(seed, i, 1))
-        eps = float(np.abs(pair_t.sketched_product - truth).max())
-        return eps <= bound
-
-    hits = run_indexed(one_trial, trials)
-    return sum(hits) / trials

@@ -170,8 +170,8 @@ def row_sample_sketch(
     """Sketch by sampling rows i.i.d. from ``probs``, rescaled by 1/sqrt(t p_i).
 
     The same row indices are used for both matrices. Indices are drawn by
-    inverse CDF over the cumulative probability vector; rows with p_i = 0
-    occupy empty intervals and are never selected.
+    inverse CDF over the cumulative probabilities, pinned to 1 from the last
+    p_i > 0 on; rows with p_i = 0 occupy empty intervals and are never drawn.
     """
     if kind is None:
         kind = SketchKind.UNIFORM_SAMPLE
@@ -179,7 +179,7 @@ def row_sample_sketch(
     n = _check_pair_inputs(a, b)
     p = _check_probs(probs, n)
     cum = np.cumsum(p)
-    cum[-1] = 1.0  # pin the top so u < 1 can never overrun the table
+    cum[np.flatnonzero(p)[-1] :] = 1.0  # so u < 1 never overruns the last drawable row
     u = substream(seed, 0).random(t)
     idx = np.searchsorted(cum, u, side="right")
     scale = 1.0 / np.sqrt(t * p[idx])

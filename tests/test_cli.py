@@ -249,6 +249,24 @@ class TestExperiment:
         for line in (tmp_path / "zero.csv").read_text().splitlines()[1:]:
             assert line.split(",")[1:] == ["0"] * 6
 
+    def test_zero_matrix_is_always_covered(self):
+        z = DenseMatrix(np.zeros((8, 2)))
+        result = run_experiment(ExperimentSpec(
+            z, SketchKind.GAUSSIAN, t0=2, t_grid=(4,), alpha=0.1, boot_samples=5,
+            oracle_reps=20, estimator_reps=20, seed=1,
+        ))
+        assert result.coverage == (1.0,)
+
+    def test_median_bound_covers_about_half(self):
+        # At t = t0 the bound is the bootstrap median itself, so coverage
+        # should sit near 1/2 (alpha at the top of the allowed range).
+        m = synth_matrix(SynthProfile(64, 4, "high", 1))
+        result = run_experiment(ExperimentSpec(
+            m, SketchKind.GAUSSIAN, t0=64, t_grid=(64,), alpha=0.49, boot_samples=200,
+            oracle_reps=500, estimator_reps=500, seed=3,
+        ))
+        assert abs(result.coverage[0] - 0.51) <= 0.1
+
     def test_experiment_command_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "cmd.csv"
         code, text = run_cli(

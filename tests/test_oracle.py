@@ -1,4 +1,8 @@
-"""Ground-truth error, Monte-Carlo quantile curves, and coverage probes."""
+"""Ground-truth error, Monte-Carlo quantile curves and the errors they keep.
+
+Coverage, scored from a curve's errors, is tested with ``run_experiment`` in
+``test_cli`` and ``test_acceptance``.
+"""
 
 import math
 
@@ -7,16 +11,11 @@ import pytest
 
 from helpers import linf_norm, mc_mean_check, true_error
 from sketchguard import oracle, sketch
-from sketchguard.booterr import BootstrapConfig
-from sketchguard.cli import main
+from sketchguard.booterr import empirical_quantile
+from sketchguard.cli import ExperimentSpec, main, run_experiment
 from sketchguard.datagen import SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix, matmul_t
-from sketchguard.oracle import (
-    QuantileCurve,
-    coverage_probe,
-    mc_quantile_curve,
-    pair_sampler,
-)
+from sketchguard.oracle import QuantileCurve, mc_quantile_curve, pair_sampler
 from sketchguard.rng import derive_seed
 from sketchguard.sketch import SketchKind, SketchSpec, apply_spec, row_sample_sketch
 
@@ -120,6 +119,17 @@ class TestMcQuantileCurve:
         assert base.band_low[0] <= permuted.values[0] <= base.band_high[0]
         assert permuted.band_low[0] <= base.values[0] <= permuted.band_high[0]
 
+    def test_curve_keeps_the_errors_it_summarizes(self):
+        m = synth_matrix(SynthProfile(64, 4, "high", 8))
+        curve = mc_quantile_curve(m, m, SketchKind.SRHT, [16, 4, 8], 25, 0.2, 9)
+        assert curve.errors.shape == (25, 3)
+        draw = pair_sampler(m, m, SketchKind.SRHT)
+        assert curve.errors[3, 2] == _errors(draw, m, m, 16, 4, 9)[3]
+        for i, column in enumerate(curve.errors.T):
+            assert curve.values[i] == empirical_quantile(column, 0.8)
+            assert curve.band_low[i] == empirical_quantile(column, 0.1)
+            assert curve.band_high[i] == empirical_quantile(column, 0.9)
+
     def test_validation(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("sketches were drawn before the arguments were checked")
@@ -137,29 +147,6 @@ class TestMcQuantileCurve:
             for kind in SketchKind:
                 with pytest.raises(ValueError, match="at least 1"):
                     mc_quantile_curve(a, a, kind, grid, 20, 0.1, 0)
-
-
-class TestCoverageProbe:
-    def test_zero_matrix_covers_trivially(self):
-        z = DenseMatrix(np.zeros((8, 2)))
-        cfg = BootstrapConfig("multiplier", 5, 0.1, 0)
-        assert coverage_probe(z, z, SketchKind.GAUSSIAN, 2, 4, cfg, 20, 1) == 1.0
-
-    def test_median_estimator_covers_about_half(self):
-        # At t = t0 the bound is the bootstrap median itself, so coverage
-        # should sit near 1/2 (alpha at the top of the allowed range).
-        m = synth_matrix(SynthProfile(64, 4, "high", 1))
-        cfg = BootstrapConfig("multiplier", 200, 0.49, 5)
-        cov = coverage_probe(m, m, SketchKind.GAUSSIAN, 64, 64, cfg, 500, 3)
-        assert abs(cov - 0.51) <= 0.1
-
-    def test_validation(self):
-        m = DenseMatrix(np.ones((4, 2)))
-        cfg = BootstrapConfig("multiplier", 5, 0.1, 0)
-        with pytest.raises(ValueError):
-            coverage_probe(m, m, SketchKind.GAUSSIAN, 8, 4, cfg, 10, 0)
-        with pytest.raises(ValueError):
-            coverage_probe(m, m, SketchKind.GAUSSIAN, 2, 4, cfg, 0, 0)
 
 
 def _errors(draw, a, b, t, count, seed):
@@ -244,9 +231,12 @@ class TestGramSpaceSampler:
         m = synth_matrix(SynthProfile(128, 4, "high", 59))
         curve = mc_quantile_curve(m, m, SketchKind.GAUSSIAN, [4, 8], 20, 0.1, 0)
         assert all(v > 0 for v in curve.values)
-        cfg = BootstrapConfig("multiplier", 5, 0.1, 0)
-        assert 0.0 <= coverage_probe(m, m, SketchKind.GAUSSIAN, 4, 8, cfg, 10, 1) <= 1.0
-        assert len(rows) == 20 + 2 * 10
+        result = run_experiment(ExperimentSpec(
+            m, SketchKind.GAUSSIAN, t0=4, t_grid=(8,), alpha=0.1, boot_samples=5,
+            oracle_reps=10, estimator_reps=10, seed=1,
+        ))
+        assert 0.0 <= result.coverage[0] <= 1.0
+        assert len(rows) == 20 + 10 + 10
         assert max(rows) <= min(m.rows, m.cols)
 
     @pytest.mark.parametrize("same", [True, False], ids=["b-is-a", "b-differs"])
@@ -285,24 +275,13 @@ class TestNestedOracle:
                 assert np.abs(rescaled - sk.array).max() <= 1e-12 * np.abs(sk.array).max()
 
     @pytest.mark.parametrize("kind", ["srht", "length"])
-    def test_nested_errors_match_independent_draws_in_law(self, kind, monkeypatch):
-        # capture the per-t error columns mc_quantile_curve takes its quantiles of
+    def test_nested_errors_match_independent_draws_in_law(self, kind):
         a = synth_matrix(SynthProfile(200, 8, "high", 62))
         b = synth_matrix(SynthProfile(200, 5, "high", 63))
-        alpha, draws = 0.2, TestGramSpaceSampler.DRAWS
-        columns = []
-        quantile = oracle.empirical_quantile
-
-        def capture(samples, p):
-            if p == 1.0 - alpha:
-                columns.append(np.array(samples))
-            return quantile(samples, p)
-
-        monkeypatch.setattr(oracle, "empirical_quantile", capture)
-        mc_quantile_curve(a, b, kind, [4, 16], draws, alpha, 64)
-        assert len(columns) == 2
+        draws = TestGramSpaceSampler.DRAWS
+        curve = mc_quantile_curve(a, b, kind, [4, 16], draws, 0.2, 64)
         draw = pair_sampler(a, b, kind)
-        for t, nested in zip((4, 16), columns):
+        for t, nested in zip((4, 16), curve.errors.T):
             fresh = _errors(draw, a, b, t, draws, 65)
             assert _ks_statistic(nested, fresh) <= _ks_critical(draws, draws)
 

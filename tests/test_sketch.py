@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sketchguard import sketch
 from sketchguard.matcore import DenseMatrix, NonFiniteResultError, matmul_t
 from sketchguard.oracle import pair_sampler
 from sketchguard.rng import substream
@@ -171,6 +172,33 @@ class TestRowSampleSketch:
         for seed in range(50):
             pair = row_sample_sketch(a, a, probs, 16, seed)
             assert np.abs(pair.a_sketch.array).max() < 50.0
+
+    @pytest.fixture
+    def top_uniform(self, monkeypatch):
+        # every uniform draw is the largest double below 1
+        class Top:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(sketch, "substream", lambda *keys: Top())
+
+    def test_trailing_zero_probability_row_is_never_selected(self, top_uniform):
+        # the cumulative sum of these probabilities stops short of 1
+        a = DenseMatrix([[1.0, 2.0], [3.0, 4.0], [1e6, 1e6]])
+        probs = [0.5, 0.499999995, 0.0]
+        pair = row_sample_sketch(a, a, probs, 4, 0)
+        expected = np.tile(a.array[1] * (1.0 / math.sqrt(4 * probs[1])), (4, 1))
+        np.testing.assert_array_equal(pair.a_sketch.array, expected)
+
+    def test_length_sampling_skips_a_trailing_zero_row(self, top_uniform):
+        x = np.random.default_rng(0).standard_normal((50, 3))
+        x[-1] = 0.0
+        m = DenseMatrix(x)
+        probs = length_sampling_probs(m, m)
+        assert np.cumsum(probs)[-2] < 1.0  # the case that picked the zero row
+        pair = apply_spec(m, m, SketchSpec(SketchKind.LENGTH_SAMPLE, 4, 0))
+        expected = np.tile(x[-2] * (1.0 / math.sqrt(4 * probs[-2])), (4, 1))
+        np.testing.assert_array_equal(pair.a_sketch.array, expected)
 
     def test_invalid_probs(self):
         a = DenseMatrix(np.ones((3, 1)))
