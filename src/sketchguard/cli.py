@@ -25,6 +25,7 @@ import math
 import sys
 import zipfile
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -159,11 +160,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     Draws ``oracle_reps`` sketch realizations, each serving every grid t, for
     the ground-truth quantile, then ``estimator_reps`` independent
     t0-sketches, bootstrapping each and extrapolating across the grid. Both
-    draw through the oracle's ``pair_sampler``: the bootstrap sees only the
-    sketch rows, whose law that sampler keeps. The two sets of draws come
-    from disjoint streams, so ``coverage`` at t is the share of all (estimator
-    rep, oracle realization) pairs whose error at t the rep's extrapolated
-    bound covers, with no further draws; calibrated, it is about 1 - alpha.
+    draw through one ``pair_sampler``, which factors the data once; the
+    bootstrap sees only the sketch rows, whose law it keeps. The two sets of
+    draws come from disjoint streams, so ``coverage`` at t is the share of
+    all (estimator rep, oracle realization) pairs whose error at t the rep's
+    extrapolated bound covers, with no further draws; calibrated, it is
+    about 1 - alpha.
     Writes ``spec.out`` when set: one row per t with the oracle value and its
     10%/90% bands next to the mean extrapolated estimate and its 10%/90%
     percentiles.
@@ -182,12 +184,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         "experiment: %dx%d matrix, kind=%s, t0=%d, grid=%s",
         matrix.rows, d, sketch.kind.value, t0, list(grid),
     )
+    make_sampler = cache(partial(pair_sampler, matrix, matrix, sketch.kind))
     curve = mc_quantile_curve(
         matrix, matrix, spec.kind, grid, spec.oracle_reps, spec.alpha,
-        derive_seed(spec.seed, _TAG_ORACLE),
+        derive_seed(spec.seed, _TAG_ORACLE), make_sampler=make_sampler,
     )
     LOG.info("oracle curve done (%d reps per t)", spec.oracle_reps)
-    draw = pair_sampler(matrix, matrix, sketch.kind)
+    draw = make_sampler()
 
     def one_estimate(r: int) -> QuantileEstimate:
         pair = draw(t0, derive_seed(spec.seed, _TAG_EST_SKETCH, r))

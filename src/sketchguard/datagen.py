@@ -9,7 +9,8 @@ form with the same normalization applied separately.
 from __future__ import annotations
 
 import math
-from array import array
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +35,15 @@ __all__ = [
 
 # Densified LIBSVM matrices are capped at this many entries.
 MAX_DENSE_ENTRIES = 1 << 28
+
+# LIBSVM text is parsed this many characters at a time, plus the rest of a line.
+_CHUNK_CHARS = 1 << 16
+# Space- or tab-separated ``label idx:value ...`` lines in decimals that float()
+# and numpy read alike. The possessive quantifiers, new in Python 3.11, only cut
+# backtracking that cannot match; 3.10 runs the same grammar without them.
+_NUM = r"[+-]?+(?:[0-9]++\.?+[0-9]*+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
+_LINES = rf"(?:[ \t]*+(?:{_NUM}(?:[ \t]++[0-9]++:{_NUM})*+[ \t]*+)?+\n)*+"
+_PLAIN = re.compile(_LINES if sys.version_info >= (3, 11) else re.sub(r"([+*?])\+", r"\1", _LINES))
 
 
 class RankMode(str, Enum):
@@ -151,6 +161,60 @@ def normalize_gram_linf(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix._wrap(scaled)
 
 
+def _parse_line(line: str, line_no: int, expected_features: int | None):
+    """Check one line token by token; return its (index, value) pairs, or None if blank."""
+    tokens = line.split()
+    if not tokens:
+        return None
+    try:
+        float(tokens[0])
+    except ValueError:
+        raise MalformedTokenError(f"label {tokens[0]!r} is not a number", line_no) from None
+    entries, prev = [], 0
+    for tok in tokens[1:]:
+        idx_str, sep, val_str = tok.partition(":")
+        if not sep:
+            raise MalformedTokenError(f"token {tok!r} lacks an index:value colon", line_no)
+        try:
+            idx, val = int(idx_str), float(val_str)
+        except ValueError:
+            raise MalformedTokenError(
+                f"token {tok!r} is not a valid index:value pair", line_no
+            ) from None
+        if idx < 1:
+            raise MalformedTokenError(f"feature index {idx} is not 1-based", line_no)
+        if not math.isfinite(val):
+            raise MalformedTokenError(f"value {val_str!r} is not finite", line_no)
+        if idx <= prev:
+            raise NonIncreasingIndexError(
+                f"feature index {idx} does not increase past {prev}", line_no
+            )
+        if expected_features is not None and idx > expected_features:
+            raise FeatureIndexRangeError(
+                f"feature index {idx} exceeds expected {expected_features}", line_no
+            )
+        prev = idx
+        entries.append((idx, val))
+    return entries
+
+
+def _parse_plain(chunk: str, lines: list[str], expected_features: int | None):
+    """Bulk-parse a plain chunk into (entries per row, indices, values); None if a check fails."""
+    if _PLAIN.match(chunk).end() != len(chunk):
+        return None
+    colons = np.array([line.count(":") for line in lines if line.strip()], dtype=np.int64)
+    widths = 1 + 2 * colons  # fromstring would read whitespace alone as [-1.]
+    nums = np.fromstring(chunk.replace(":", " "), sep=" ") if colons.size else np.zeros(0)
+    if nums.size != widths.sum():
+        return None
+    idx, val = np.delete(nums, np.cumsum(widths) - widths).reshape(-1, 2).T  # drop labels
+    row = np.repeat(np.arange(colons.size), colons)
+    ok = (idx >= 1) & (idx < 2.0**53) & np.isfinite(val)  # from 2^53 on, floats round indices
+    ok[1:] &= (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
+    ok &= idx <= (expected_features or np.inf)
+    return (colons, idx.astype(np.int64), val) if ok.all() else None
+
+
 def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
     """Parse a LIBSVM text file into a dense feature matrix; labels are discarded.
 
@@ -160,54 +224,33 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
     feature count is ``expected_features`` when given, otherwise the largest
     index seen. Parse failures raise MalformedTokenError,
     NonIncreasingIndexError, or FeatureIndexRangeError with the line number.
+
+    Plain decimal chunks are parsed and checked in bulk C passes; others, and
+    any a bulk check rejects, go token by token, so no result or error depends
+    on the path.
     """
     if expected_features is not None and expected_features < 1:
         raise ValueError("expected_features must be at least 1")
-    # Every entry's row, 1-based feature index and value as machine numbers,
-    # densified in one scatter.
-    rows, indices, values = array("q"), array("q"), array("d")
-    n_rows = 0
-    max_index = 0
+    pieces = []  # each chunk's rows, 1-based feature indices and values
+    n_rows = max_index = line_no = 0
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                float(tokens[0])
-            except ValueError:
-                raise MalformedTokenError(f"label {tokens[0]!r} is not a number", line_no) from None
-            prev = 0
-            for tok in tokens[1:]:
-                idx_str, sep, val_str = tok.partition(":")
-                if not sep:
-                    raise MalformedTokenError(f"token {tok!r} lacks an index:value colon", line_no)
-                try:
-                    idx = int(idx_str)
-                    val = float(val_str)
-                except ValueError:
-                    raise MalformedTokenError(
-                        f"token {tok!r} is not a valid index:value pair", line_no
-                    ) from None
-                if idx < 1:
-                    raise MalformedTokenError(f"feature index {idx} is not 1-based", line_no)
-                if not math.isfinite(val):
-                    raise MalformedTokenError(f"value {val_str!r} is not finite", line_no)
-                if idx <= prev:
-                    raise NonIncreasingIndexError(
-                        f"feature index {idx} does not increase past {prev}", line_no
-                    )
-                if expected_features is not None and idx > expected_features:
-                    raise FeatureIndexRangeError(
-                        f"feature index {idx} exceeds expected {expected_features}", line_no
-                    )
-                prev = idx
-                indices.append(idx)
-                values.append(val)
-            rows.extend([n_rows] * (len(indices) - len(rows)))
-            n_rows += 1
-            max_index = max(max_index, prev)
+        while chunk := fh.read(_CHUNK_CHARS) + fh.readline():
+            chunk += "" if chunk.endswith("\n") else "\n"
+            lines = chunk.split("\n")[:-1]
+            plain = _parse_plain(chunk, lines, expected_features)
+            if plain is not None:
+                counts, idx, val = plain
+                top = int(idx.max(initial=0))
+            else:  # indices stay Python ints, which may pass int64
+                parsed = [p for no, line in enumerate(lines, line_no + 1)
+                          if (p := _parse_line(line, no, expected_features)) is not None]
+                counts = [len(p) for p in parsed]
+                idx, val = [i for p in parsed for i, _ in p], [v for p in parsed for _, v in p]
+                top = max(idx, default=0)
+            pieces.append((np.repeat(np.arange(n_rows, n_rows + len(counts)), counts), idx, val))
+            n_rows += len(counts)
+            max_index = max(max_index, top)
+            line_no += len(lines)
     if not n_rows:
         raise LibsvmParseError("no data lines in file", 0)
     cols = expected_features if expected_features is not None else max_index
@@ -218,5 +261,6 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
             f"dense matrix of {n_rows}x{cols} exceeds the {MAX_DENSE_ENTRIES} entry cap"
         )
     out = np.zeros((n_rows, cols))
-    out[np.asarray(rows), np.asarray(indices) - 1] = values
+    for row, idx, val in pieces:  # every index is now at most cols, so it fits int64
+        out[row, np.asarray(idx, np.int64) - 1] = val
     return DenseMatrix._wrap(out)

@@ -85,6 +85,8 @@ def mc_quantile_curve(
     reps: int,
     alpha: float,
     seed: int,
+    *,
+    make_sampler=None,
 ) -> QuantileCurve:
     """Monte-Carlo estimate of the (1 - alpha) error quantile over a t grid.
 
@@ -96,7 +98,8 @@ def mc_quantile_curve(
     law, while errors at different t of one realization are correlated.
     Records per t the interpolated sample quantile of the realized errors,
     plus their 10% and 90% percentile bands. The quantile value sits inside
-    the bands only when 1-alpha lies between 0.1 and 0.9.
+    the bands only when 1-alpha lies between 0.1 and 0.9. ``make_sampler()``,
+    once A^T B is checked, gives the sampler, so a caller can share its factoring.
     """
     if reps < 10:
         raise ValueError(f"need at least 10 realizations per t, got {reps}")
@@ -108,7 +111,7 @@ def mc_quantile_curve(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     truth = matmul_t(a, b).array  # first, so an overflowing A^T B is what gets reported
-    draw = pair_sampler(a, b, kind)
+    draw = make_sampler() if make_sampler is not None else pair_sampler(a, b, kind)
     t_max = grid[-1]
 
     def errors(r: int) -> list[float]:

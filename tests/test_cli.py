@@ -319,6 +319,39 @@ class TestExperiment:
         with pytest.raises(ValueError):
             run_experiment(spec)
 
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_gaussian_experiment_factors_the_data_once(self, tmp_path, monkeypatch):
+        spec = self.small_spec(tmp_path, "once.csv")
+        qr_calls = self.count_calls(monkeypatch, np.linalg, "qr")
+        run_experiment(spec)
+        assert len(qr_calls) == 1
+
+    def test_length_experiment_weighs_the_rows_once(self, tmp_path, monkeypatch):
+        spec = self.small_spec(tmp_path, "once.csv")
+        spec.kind = SketchKind.LENGTH_SAMPLE
+        prob_calls = self.count_calls(monkeypatch, oracle, "length_sampling_probs")
+        run_experiment(spec)
+        assert len(prob_calls) == 1
+
+    def test_bad_oracle_reps_fail_before_the_data_is_factored(self, tmp_path, monkeypatch):
+        spec = self.small_spec(tmp_path, "bad.csv")
+        spec.oracle_reps = 5
+        qr_calls = self.count_calls(monkeypatch, np.linalg, "qr")
+        with pytest.raises(ValueError, match="at least 10 realizations"):
+            run_experiment(spec)
+        assert qr_calls == []
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_kind(self, capsys, tmp_path):
@@ -361,6 +394,17 @@ class TestExitCodes:
             "--out", str(tmp_path / "p.npz"),
         )
         assert code == EXIT_DATA
+
+    def test_huge_feature_index_is_a_usage_error(self, capsys, caplog, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("1 99999999999999999999:1\n", encoding="utf-8")
+        code, out = run_cli(
+            capsys, "sketch", "--data", str(huge), "--kind", "srht", "--t0", "4",
+            "--seed", "1", "--out", str(tmp_path / "o.npz"),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "dense matrix of 1x99999999999999999999 exceeds the" in caplog.text
 
     def test_huge_libsvm_values_give_a_nonzero_curve(self, capsys, tmp_path):
         # their Gram overflows to inf unless normalization pre-scales them
@@ -795,3 +839,14 @@ class TestEntryPoint:
         assert bad.returncode == EXIT_USAGE
         assert bad.stdout == ""
         assert "ERROR missing required option --qhat" in bad.stderr
+
+    def test_huge_feature_index_exits_2_without_a_traceback(self, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("1 99999999999999999999:1\n", encoding="utf-8")
+        run = self.run_entry(
+            "sketch", "--data", str(huge), "--kind", "srht", "--t0", "4", "--seed", "1",
+            "--out", str(tmp_path / "o.npz"),
+        )
+        assert run.returncode == EXIT_USAGE
+        assert "entry cap" in run.stderr
+        assert "Traceback" not in run.stderr

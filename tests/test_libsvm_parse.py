@@ -1,12 +1,18 @@
 """libsvm_load against a token-by-token reference on random, partly malformed files."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from sketchguard import datagen
 from sketchguard.datagen import (
+    _CHUNK_CHARS,
+    MAX_DENSE_ENTRIES,
     FeatureIndexRangeError,
+    LibsvmParseError,
     MalformedTokenError,
     NonIncreasingIndexError,
     libsvm_load,
@@ -72,3 +78,201 @@ def test_first_bad_token_and_entries_match_the_reference(tmp_path, expected_feat
                 want[r, idx - 1] = val
         assert np.array_equal(libsvm_load(path, expected_features).array, want)
     assert 50 < errors < 250
+
+
+# Tokens where Python's int/float and numpy's C parser could disagree, and
+# text the plain-decimal gate must send to the token-by-token checker.
+EDGE_TOKENS = (
+    "1e3:1", "3.0:1", "+3:1", "1_0:1", "2:1_0", "2:0x10", "2:+.5", "007:1", "2:1.", "2:-0",
+    "2:1e-320", "2:1e999", "2:.", "2:1e", "2:1.2.3", "３:1", "2:５", "99999999999999999999:1",
+)
+EDGE_LABELS = ("nan", "inf", "-inf", "1e999", "1_0", "+.5", "３", "0x1", ".")
+EDGE_SEPARATORS = (" ", "\t", "\x0c", "\xa0", "\x0b", "\x85")
+NEWLINES = ("\n", "\r\n", "\r")
+
+
+def reference_load(path, expected_features):
+    """Reference: lines as Python reads them, every token checked in order.
+
+    Returns ``(error class, line_no)`` for a rejected file, ``ValueError`` when
+    the dense matrix would pass the entry cap, else the dense array.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.split():
+                continue
+            try:
+                float(line.split()[0])
+            except ValueError:
+                return MalformedTokenError, line_no
+            parsed = token_by_token(line, expected_features)
+            if not isinstance(parsed, list):
+                return parsed, line_no
+            rows.append(parsed)
+    if not rows:
+        return LibsvmParseError, 0
+    cols = expected_features or max((r[-1][0] for r in rows if r), default=0)
+    if cols < 1:
+        return LibsvmParseError, 0
+    if len(rows) * cols > MAX_DENSE_ENTRIES:
+        return ValueError
+    want = np.zeros((len(rows), cols))
+    for r, entries in enumerate(rows):
+        for idx, val in entries:
+            want[r, idx - 1] = val
+    return want
+
+
+def assert_loads_like_the_reference(path, expected_features):
+    want = reference_load(path, expected_features)
+    if isinstance(want, np.ndarray):
+        got = libsvm_load(path, expected_features).array
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return
+    cls, line_no = want if isinstance(want, tuple) else (want, None)
+    with pytest.raises(cls) as exc:
+        libsvm_load(path, expected_features)
+    assert type(exc.value) is cls
+    assert getattr(exc.value, "line_no", None) == line_no
+
+
+@pytest.mark.parametrize("expected_features", [None, 10])
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_edge_token_matches_the_reference(tmp_path, token, expected_features):
+    path = tmp_path / "edge.txt"
+    path.write_text(f"1 1:0.5\n-1 {token} 5:2\n1 3:1\n", encoding="utf-8")
+    assert_loads_like_the_reference(path, expected_features)
+
+
+@pytest.mark.parametrize("label", EDGE_LABELS)
+def test_edge_label_matches_the_reference(tmp_path, label):
+    path = tmp_path / "label.txt"
+    path.write_text(f"1 1:0.5\n{label} 2:1\n", encoding="utf-8")
+    assert_loads_like_the_reference(path, None)
+
+
+@pytest.mark.parametrize("sep", EDGE_SEPARATORS[1:], ids=repr)
+def test_unicode_and_control_separators_match_the_reference(tmp_path, sep):
+    path = tmp_path / "sep.txt"
+    path.write_text(f"1{sep}1:0.5{sep}3:2\n-1 2:1{sep}\n", encoding="utf-8")
+    assert_loads_like_the_reference(path, None)
+
+
+def test_lone_carriage_return_ends_a_line(tmp_path):
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"1 1:2.0\r-1 2:3.0\r1 x\n")
+    with pytest.raises(MalformedTokenError) as exc:
+        libsvm_load(path)
+    assert exc.value.line_no == 3
+    path.write_bytes(b"1 1:2.0\r-1 2:3.0\r")
+    assert libsvm_load(path).array.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+
+
+def test_huge_index_hits_the_dense_cap_after_the_whole_file(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1 99999999999999999999:1\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        libsvm_load(path)
+    assert str(exc.value) == (
+        f"dense matrix of 1x99999999999999999999 exceeds the {MAX_DENSE_ENTRIES} entry cap"
+    )
+    with pytest.raises(FeatureIndexRangeError) as exc:
+        libsvm_load(path, expected_features=10)
+    assert exc.value.line_no == 1
+    # parsing goes on in file order: errors on the same or a later line win
+    path.write_text("1 99999999999999999999:1 5:1\n", encoding="utf-8")
+    with pytest.raises(NonIncreasingIndexError) as exc:
+        libsvm_load(path)
+    assert exc.value.line_no == 1
+    path.write_text("1 99999999999999999999:1\n1 2:1\n1 x\n", encoding="utf-8")
+    with pytest.raises(MalformedTokenError) as exc:
+        libsvm_load(path)
+    assert exc.value.line_no == 3
+
+
+def edge_line(rng) -> str:
+    tokens = random_line(rng).split(" ")
+    for _ in range(int(rng.integers(0, 2))):
+        tokens.insert(int(rng.integers(1, len(tokens) + 1)), str(rng.choice(EDGE_TOKENS)))
+    if rng.random() < 0.05:
+        tokens[0] = str(rng.choice(EDGE_LABELS))
+    seps = [str(rng.choice(EDGE_SEPARATORS)) if rng.random() < 0.1 else " " for _ in tokens]
+    return "".join(s + t for s, t in zip(seps, tokens)).removeprefix(" ")
+
+
+@pytest.fixture(params=["as compiled", "without possessive quantifiers"])
+def grammar(request, monkeypatch):
+    # Python 3.10 compiles the plain-decimal grammar without possessive
+    # quantifiers; both forms must accept exactly the same text
+    if request.param != "as compiled":
+        pattern = re.sub(r"([+*?])\+", r"\1", datagen._PLAIN.pattern)
+        monkeypatch.setattr(datagen, "_PLAIN", re.compile(pattern))
+
+
+@pytest.mark.parametrize("expected_features", [None, 10])
+def test_edge_text_matches_the_reference(tmp_path, grammar, expected_features):
+    rng = np.random.default_rng(2027)
+    path = tmp_path / "edge.txt"
+    for _ in range(300):
+        lines = [edge_line(rng) for _ in range(int(rng.integers(1, 6)))]
+        text = "".join(line + str(rng.choice(NEWLINES)) for line in lines)
+        path.write_text(text[: -1 if rng.random() < 0.2 else None], encoding="utf-8", newline="")
+        assert_loads_like_the_reference(path, expected_features)
+
+
+def plain_lines(rng, count: int) -> list[str]:
+    lines = []
+    for _ in range(count):
+        idx = np.sort(rng.choice(40, 6, replace=False)) + 1
+        vals = rng.standard_normal(6)
+        lines.append("1 " + " ".join(f"{i}:{v:.17g}" for i, v in zip(idx, vals)))
+    return lines
+
+
+def test_files_longer_than_a_chunk_name_the_exact_bad_line(tmp_path):
+    rng = np.random.default_rng(2028)
+    lines = plain_lines(rng, 5000)
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert path.stat().st_size > 3 * _CHUNK_CHARS
+    assert_loads_like_the_reference(path, None)
+    middle, last = 2713, len(lines)
+    for bad_lines in ([last], [middle], [middle, last]):
+        broken = list(lines)
+        for no in bad_lines:
+            broken[no - 1] = broken[no - 1].replace(" ", " 0:1 ", 1)
+        path.write_text("\n".join(broken) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedTokenError) as exc:
+            libsvm_load(path)
+        assert exc.value.line_no == bad_lines[0]
+
+
+def test_plain_file_loads_without_warnings(tmp_path):
+    path = tmp_path / "plain.txt"
+    path.write_text("\n".join(plain_lines(np.random.default_rng(2029), 50)) + "\n\n  \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert libsvm_load(path).rows == 50
+
+
+@pytest.fixture
+def bulk_only(monkeypatch):
+    def no_checker(*args):
+        raise AssertionError("a line went to the token-by-token checker")
+
+    monkeypatch.setattr(datagen, "_parse_line", no_checker)
+
+
+def test_plain_file_never_reaches_the_token_checker(tmp_path, bulk_only):
+    path = tmp_path / "plain.txt"
+    lines = plain_lines(np.random.default_rng(2030), 3000)
+    path.write_text("\r\n".join(lines) + "\r\n\r\n\t\r\n", encoding="utf-8")
+    assert libsvm_load(path).array.tobytes() == reference_load(path, None).tobytes()
+
+
+def test_a_chunk_of_blank_lines_stays_on_the_bulk_path(tmp_path, bulk_only):
+    # fromstring would read a chunk of whitespace alone as one number, -1
+    path = tmp_path / "blank.txt"
+    path.write_text("1 1:1\n" + " \n" * (2 * _CHUNK_CHARS) + "-1 2:2\n", encoding="utf-8")
+    assert libsvm_load(path).array.tolist() == [[1.0, 0.0], [0.0, 2.0]]
