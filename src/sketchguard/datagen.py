@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -39,9 +40,9 @@ MAX_DENSE_ENTRIES = 1 << 28
 # LIBSVM text is parsed this many characters at a time, plus the rest of a line.
 _CHUNK_CHARS = 1 << 16
 # Space- or tab-separated ``label idx:value ...`` lines in decimals that float()
-# and numpy read alike. The possessive quantifiers, new in Python 3.11, only cut
-# backtracking that cannot match; 3.10 runs the same grammar without them.
-_NUM = r"[+-]?+(?:[0-9]++\.?+[0-9]*+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
+# and numpy read alike. No digit matches two ways, so a bad line fails in linear
+# time; Python 3.10 drops the possessive quantifiers, which halve a match's time.
+_NUM = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
 _LINES = rf"(?:[ \t]*+(?:{_NUM}(?:[ \t]++[0-9]++:{_NUM})*+[ \t]*+)?+\n)*+"
 _PLAIN = re.compile(_LINES if sys.version_info >= (3, 11) else re.sub(r"([+*?])\+", r"\1", _LINES))
 
@@ -161,16 +162,16 @@ def normalize_gram_linf(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix._wrap(scaled)
 
 
-def _parse_line(line: str, line_no: int, expected_features: int | None):
-    """Check one line token by token; return its (index, value) pairs, or None if blank."""
+def _parse_line(line: str, line_no: int, expected_features: int | None, indices, values):
+    """Check one line token by token and append its entries; return 1 for a row, 0 if blank."""
     tokens = line.split()
     if not tokens:
-        return None
+        return 0
     try:
         float(tokens[0])
     except ValueError:
         raise MalformedTokenError(f"label {tokens[0]!r} is not a number", line_no) from None
-    entries, prev = [], 0
+    prev = 0
     for tok in tokens[1:]:
         idx_str, sep, val_str = tok.partition(":")
         if not sep:
@@ -194,16 +195,18 @@ def _parse_line(line: str, line_no: int, expected_features: int | None):
                 f"feature index {idx} exceeds expected {expected_features}", line_no
             )
         prev = idx
-        entries.append((idx, val))
-    return entries
+        indices.append(idx)
+        values.append(val)
+    return 1
 
 
 def _parse_plain(chunk: str, lines: list[str], expected_features: int | None):
-    """Bulk-parse a plain chunk into (entries per row, indices, values); None if a check fails."""
+    """Bulk-parse a plain chunk into (row count, rows, indices, values); None if a check fails."""
     if _PLAIN.match(chunk).end() != len(chunk):
         return None
     colons = np.array([line.count(":") for line in lines if line.strip()], dtype=np.int64)
-    widths = 1 + 2 * colons  # fromstring would read whitespace alone as [-1.]
+    widths = 1 + 2 * colons
+    # fromstring would read whitespace alone as [-1.]
     nums = np.fromstring(chunk.replace(":", " "), sep=" ") if colons.size else np.zeros(0)
     if nums.size != widths.sum():
         return None
@@ -212,7 +215,7 @@ def _parse_plain(chunk: str, lines: list[str], expected_features: int | None):
     ok = (idx >= 1) & (idx < 2.0**53) & np.isfinite(val)  # from 2^53 on, floats round indices
     ok[1:] &= (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
     ok &= idx <= (expected_features or np.inf)
-    return (colons, idx.astype(np.int64), val) if ok.all() else None
+    return (colons.size, row, idx.astype(np.int64), val) if ok.all() else None
 
 
 def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
@@ -225,9 +228,8 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
     index seen. Parse failures raise MalformedTokenError,
     NonIncreasingIndexError, or FeatureIndexRangeError with the line number.
 
-    Plain decimal chunks are parsed and checked in bulk C passes; others, and
-    any a bulk check rejects, go token by token, so no result or error depends
-    on the path.
+    Plain decimal chunks are parsed and checked in bulk C passes; any other
+    chunk, or one a bulk check rejects, goes token by token to the same result.
     """
     if expected_features is not None and expected_features < 1:
         raise ValueError("expected_features must be at least 1")
@@ -239,16 +241,16 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
             lines = chunk.split("\n")[:-1]
             plain = _parse_plain(chunk, lines, expected_features)
             if plain is not None:
-                counts, idx, val = plain
-                top = int(idx.max(initial=0))
-            else:  # indices stay Python ints, which may pass int64
-                parsed = [p for no, line in enumerate(lines, line_no + 1)
-                          if (p := _parse_line(line, no, expected_features)) is not None]
-                counts = [len(p) for p in parsed]
-                idx, val = [i for p in parsed for i, _ in p], [v for p in parsed for _, v in p]
+                rows, row, idx, val = plain
+                row, n_rows, top = row + n_rows, n_rows + rows, int(idx.max(initial=0))
+            else:  # token by token; indices stay Python ints, which may pass int64
+                row, idx, val = array("q"), [], array("d")
+                for no, line in enumerate(lines, line_no + 1):
+                    n_rows += _parse_line(line, no, expected_features, idx, val)
+                    row.extend([n_rows - 1] * (len(idx) - len(row)))
                 top = max(idx, default=0)
-            pieces.append((np.repeat(np.arange(n_rows, n_rows + len(counts)), counts), idx, val))
-            n_rows += len(counts)
+            if top <= MAX_DENSE_ENTRIES:  # past it, the cap error below is certain
+                pieces.append((np.asarray(row, np.int64), np.asarray(idx, np.int64), np.asarray(val)))
             max_index = max(max_index, top)
             line_no += len(lines)
     if not n_rows:
@@ -261,6 +263,6 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
             f"dense matrix of {n_rows}x{cols} exceeds the {MAX_DENSE_ENTRIES} entry cap"
         )
     out = np.zeros((n_rows, cols))
-    for row, idx, val in pieces:  # every index is now at most cols, so it fits int64
-        out[row, np.asarray(idx, np.int64) - 1] = val
+    for row, idx, val in pieces:
+        out[row, idx - 1] = val
     return DenseMatrix._wrap(out)

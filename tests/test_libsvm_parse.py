@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -204,7 +205,7 @@ def edge_line(rng) -> str:
 @pytest.fixture(params=["as compiled", "without possessive quantifiers"])
 def grammar(request, monkeypatch):
     # Python 3.10 compiles the plain-decimal grammar without possessive
-    # quantifiers; both forms must accept exactly the same text
+    # quantifiers; both forms must accept exactly the same text, equally fast
     if request.param != "as compiled":
         pattern = re.sub(r"([+*?])\+", r"\1", datagen._PLAIN.pattern)
         monkeypatch.setattr(datagen, "_PLAIN", re.compile(pattern))
@@ -220,6 +221,18 @@ def test_edge_text_matches_the_reference(tmp_path, grammar, expected_features):
         path.write_text(text[: -1 if rng.random() < 0.2 else None], encoding="utf-8", newline="")
         assert_loads_like_the_reference(path, expected_features)
 
+
+
+def test_a_line_failing_late_is_rejected_in_linear_time(tmp_path, grammar):
+    # a grammar in which "255" could split two ways would backtrack through
+    # 3^200 splits of this line before giving it up
+    path = tmp_path / "late.txt"
+    path.write_text("1 " + " ".join(f"{i}:255" for i in range(1, 201)) + " x\n")
+    start = time.perf_counter()
+    with pytest.raises(MalformedTokenError) as exc:
+        libsvm_load(path)
+    assert exc.value.line_no == 1
+    assert time.perf_counter() - start < 1.0
 
 def plain_lines(rng, count: int) -> list[str]:
     lines = []
