@@ -7,74 +7,19 @@ curve across sketch sizes, so accuracy can be certified or the minimal
 sketch size planned for a target error.
 """
 
-from .booterr import (
-    BootstrapConfig,
-    BootstrapScheme,
-    QuantileEstimate,
-    bootstrap_quantile,
-    budget_check,
-    empirical_quantile,
-    extrapolate,
-    multiplier_error,
-    plan_sketch_size,
-)
-from .datagen import (
-    RankMode,
-    SynthProfile,
-    libsvm_load,
-    mvt_rows,
-    normalize_gram_linf,
-    singular_value_profile,
-    synth_matrix,
-)
-from .matcore import DenseMatrix, NonFiniteResultError, ZeroMatrixError, matmul_t
-from .oracle import QuantileCurve, mc_quantile_curve
-from .sketch import (
-    LengthSamplingError,
-    SketchKind,
-    SketchPair,
-    SketchSpec,
-    apply_spec,
-    fwht_in_place,
-    gaussian_sketch,
-    length_sampling_probs,
-    row_sample_sketch,
-    srht_sketch,
-)
+from . import booterr, datagen, matcore, oracle, sketch
+from .booterr import *
+from .datagen import *
+from .matcore import *
+from .oracle import *
+from .sketch import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BootstrapConfig",
-    "BootstrapScheme",
-    "DenseMatrix",
-    "LengthSamplingError",
-    "NonFiniteResultError",
-    "QuantileCurve",
-    "QuantileEstimate",
-    "RankMode",
-    "SketchKind",
-    "SketchPair",
-    "SketchSpec",
-    "SynthProfile",
-    "ZeroMatrixError",
-    "apply_spec",
-    "bootstrap_quantile",
-    "budget_check",
-    "empirical_quantile",
-    "extrapolate",
-    "fwht_in_place",
-    "gaussian_sketch",
-    "length_sampling_probs",
-    "libsvm_load",
-    "matmul_t",
-    "mc_quantile_curve",
-    "multiplier_error",
-    "mvt_rows",
-    "normalize_gram_linf",
-    "plan_sketch_size",
-    "row_sample_sketch",
-    "singular_value_profile",
-    "srht_sketch",
-    "synth_matrix",
-]
+# The package exports each module's __all__, in a form static checkers read.
+__all__ = []
+__all__ += booterr.__all__
+__all__ += datagen.__all__
+__all__ += matcore.__all__
+__all__ += oracle.__all__
+__all__ += sketch.__all__

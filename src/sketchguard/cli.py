@@ -396,6 +396,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     _require(args, "t0", "qhat", "epsilon")
+    if args.qhat < 0:
+        raise SpecError(f"--qhat must be nonnegative, got {args.qhat!r}")
     if (args.n is None) != (args.d is None):
         raise SpecError("--n and --d go together: give both for the budget ratio, or neither")
     # Planning reads only t0 and the value; alpha just completes a valid estimate.
@@ -515,19 +517,20 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code
-    except SpecError as exc:
-        LOG.error("%s", exc)
-        return EXIT_USAGE
     except (LibsvmParseError, _PairFileError, OSError, UnicodeDecodeError) as exc:
         LOG.error("data error: %s", exc)
         return EXIT_DATA
     except (ZeroMatrixError, LengthSamplingError, NonFiniteResultError, MemoryError) as exc:
         LOG.error("numerical failure: %s", str(exc) or type(exc).__name__)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # SpecError among them
         LOG.error("%s", exc)
         return EXIT_USAGE
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -97,10 +97,16 @@ def _validated(a: np.ndarray, computed: bool = False) -> np.ndarray:
     return a
 
 
-def matmul_t(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Return the d x d' product of a's transpose with b; rows must match."""
+def check_same_rows(a: DenseMatrix, b: DenseMatrix) -> int:
+    """Return the row count a and b share, else raise ValueError."""
     if a.rows != b.rows:
         raise ValueError(f"row counts differ: {a.rows} vs {b.rows}")
+    return a.rows
+
+
+def matmul_t(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """Return the d x d' product of a's transpose with b; rows must match."""
+    check_same_rows(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         product = a.array.T @ b.array
     return DenseMatrix._wrap(check_finite_result(product, "the exact product A^T B"))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .booterr import empirical_quantile
-from .matcore import DenseMatrix, check_finite_result, matmul_t
+from .matcore import DenseMatrix, check_finite_result, check_same_rows, matmul_t
 from .parallel import run_indexed
 from .rng import derive_seed
 from .sketch import (
@@ -40,7 +40,7 @@ class QuantileCurve:
     band_low: tuple[float, ...]
     band_high: tuple[float, ...]
     reps: int
-    errors: np.ndarray | None = field(default=None, compare=False, repr=False)
+    errors: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.ts, self.ts[1:])):
@@ -69,8 +69,7 @@ def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
         return lambda t, seed: row_sample_sketch(a, b, probs, t, seed, kind=kind)
     if kind is not SketchKind.GAUSSIAN:
         return lambda t, seed: apply_spec(a, b, SketchSpec(kind, t, seed))
-    if a.rows != b.rows:
-        raise ValueError(f"row counts differ: {a.rows} vs {b.rows}")
+    check_same_rows(a, b)
     r = np.linalg.qr(a.array if b is a else np.hstack([a.array, b.array]), mode="r")
     r_a = DenseMatrix._wrap(r[:, : a.cols])
     r_b = r_a if b is a else DenseMatrix._wrap(r[:, a.cols :])

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import DenseMatrix, check_finite_result
+from .matcore import DenseMatrix, check_finite_result, check_same_rows
 from .rng import check_seed, substream
 
 __all__ = [
@@ -101,12 +101,6 @@ class SketchPair:
         return p
 
 
-def _check_pair_inputs(a: DenseMatrix, b: DenseMatrix) -> int:
-    if a.rows != b.rows:
-        raise ValueError(f"row counts differ: {a.rows} vs {b.rows}")
-    return a.rows
-
-
 def gaussian_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair:
     """Sketch with S having i.i.d. N(0, 1/t) entries.
 
@@ -117,7 +111,7 @@ def gaussian_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> Sketch
     NonFiniteResultError.
     """
     spec = SketchSpec(SketchKind.GAUSSIAN, t, seed)
-    n = _check_pair_inputs(a, b)
+    n = check_same_rows(a, b)
     out_a = np.empty((t, a.cols))
     out_b = out_a if b is a else np.empty((t, b.cols))
     scale = 1.0 / math.sqrt(t)
@@ -143,7 +137,7 @@ def length_sampling_probs(a: DenseMatrix, b: DenseMatrix) -> np.ndarray:
     normalized to sum to 1. Raises LengthSamplingError when all products are
     zero (a or b is the zero matrix), NonFiniteResultError when they overflow.
     """
-    _check_pair_inputs(a, b)
+    check_same_rows(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         nrm = np.linalg.norm(a.array, axis=1)
         w = nrm * (nrm if b is a else np.linalg.norm(b.array, axis=1))
@@ -176,7 +170,7 @@ def row_sample_sketch(
     if kind is None:
         kind = SketchKind.UNIFORM_SAMPLE
     spec = SketchSpec(kind, t, seed)
-    n = _check_pair_inputs(a, b)
+    n = check_same_rows(a, b)
     p = _check_probs(probs, n)
     cum = np.cumsum(p)
     cum[np.flatnonzero(p)[-1] :] = 1.0  # so u < 1 never overruns the last drawable row
@@ -238,7 +232,7 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
     most MAX_SRHT_STAGE_ENTRIES entries, or one high part's n2 k, at a time.
     """
     spec = SketchSpec(SketchKind.SRHT, t, seed)
-    n = _check_pair_inputs(a, b)
+    n = check_same_rows(a, b)
     n_pad = 1 << (n - 1).bit_length()
     signs = substream(seed, 0).integers(0, 2, n_pad) * 2 - 1
     idx = substream(seed, 1).integers(0, n_pad, t)
@@ -279,7 +273,7 @@ def apply_spec(a: DenseMatrix, b: DenseMatrix, spec: SketchSpec) -> SketchPair:
     if spec.kind is SketchKind.GAUSSIAN:
         return gaussian_sketch(a, b, spec.t, spec.seed)
     if spec.kind is SketchKind.UNIFORM_SAMPLE:
-        n = _check_pair_inputs(a, b)
+        n = check_same_rows(a, b)
         probs = np.full(n, 1.0 / n)
         return row_sample_sketch(a, b, probs, spec.t, spec.seed, kind=spec.kind)
     if spec.kind is SketchKind.LENGTH_SAMPLE:

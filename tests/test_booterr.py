@@ -380,6 +380,22 @@ class TestStreamsIndependentOfSketch:
         assert np.abs(weights - draws[: weights.size]).min() > 1e-9
 
 
+class TestQuantileEstimateType:
+    @pytest.mark.parametrize(
+        "t0,value,samples,message",
+        [
+            (0, 0.5, (0.5,), "t0 must be at least 1"),
+            (4, 0.5, (), "samples must be nonempty"),
+            (4, -0.5, (0.5,), "nonnegative"),
+            (4, 0.5, (0.5, -0.5), "nonnegative"),
+        ],
+        ids=["t0-zero", "no-samples", "negative-value", "negative-sample"],
+    )
+    def test_rejects_invalid_fields(self, t0, value, samples, message):
+        with pytest.raises(ValueError, match=message):
+            QuantileEstimate(t0=t0, alpha=0.01, value=value, samples=samples)
+
+
 class TestExtrapolation:
     def est(self, t0=100, value=0.4) -> QuantileEstimate:
         return QuantileEstimate(t0=t0, alpha=0.01, value=value, samples=(value,))

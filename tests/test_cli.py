@@ -74,8 +74,9 @@ class TestPlanCommand:
             ("inf", "0.05", "qhat must be a finite number, got 'inf'"),
             ("0.2", "nan", "epsilon must be a finite number, got 'nan'"),
             ("1e200", "1e-200", "is not finite"),
+            ("-0.2", "0.05", "--qhat must be nonnegative, got -0.2"),
         ],
-        ids=["qhat-inf", "epsilon-nan", "size-overflow"],
+        ids=["qhat-inf", "epsilon-nan", "size-overflow", "qhat-negative"],
     )
     def test_non_finite_input_or_size_is_usage_error(self, capsys, caplog, qhat, epsilon, message):
         code, out = run_cli(
@@ -172,6 +173,15 @@ class TestOracleCommand:
             t, q, lo, hi = line.split(",")
             assert float(lo) <= float(hi)
             assert float(q) >= 0.0
+
+    def test_without_out_writes_the_csv_to_stdout(self, tmp_path, capsys):
+        argv = ["oracle", "--synth", "64,8,high", "--kind", "uniform", "--t-grid", "4,8",
+                "--reps", "10", "--seed", "3"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        run_cli(capsys, *argv, "--out", str(tmp_path / "curve.csv"))
+        assert out == (tmp_path / "curve.csv").read_text()
+        assert out.startswith("t,oracle_q,oracle_lo,oracle_hi\n")
 
 
 class TestExperiment:
@@ -312,6 +322,25 @@ class TestExperiment:
             out=tmp_path / "lib.csv",
         ))
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_grid_below_t0_logs_one_warning(self, tmp_path, caplog):
+        spec = self.small_spec(tmp_path, "low.csv")
+        spec.t_grid, spec.oracle_reps, spec.estimator_reps = (4, 8, 16), 10, 2
+        run_experiment(spec)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            "t_grid contains sizes below t0=8; extrapolation there runs backwards"
+        ]
+
+    def test_zero_estimator_reps_is_usage_error(self, tmp_path, capsys, caplog):
+        code, out = run_cli(
+            capsys, "experiment", "--synth", "64,8,high", "--kind", "uniform", "--reps", "0",
+            "--out", str(tmp_path / "none.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "estimator_reps must be at least 1" in caplog.text
+        assert not (tmp_path / "none.csv").exists()
 
     def test_validation_errors(self, tmp_path):
         spec = self.small_spec(tmp_path, "x.csv")
@@ -796,8 +825,9 @@ class TestMalformedPairFile:
             ("short.npz", lambda p: np.savez(p, **_pair_arrays(t=np.uint64(5)))),
             ("nan.npz", lambda p: np.savez(p, **_pair_arrays(a_sketch=np.full((4, 3), np.nan)))),
             ("cut.npz", lambda p: p.write_bytes(b"PK\x03\x04" + bytes(60))),
+            ("norows.npz", lambda p: np.savez(p, **_pair_arrays(source_rows=np.uint64(0)))),
         ],
-        ids=["no-kind", "npy", "text", "t-mismatch", "nan", "truncated-zip"],
+        ids=["no-kind", "npy", "text", "t-mismatch", "nan", "truncated-zip", "no-source-rows"],
     )
     def test_is_data_error_naming_the_file(self, tmp_path, capsys, caplog, name, write):
         path = tmp_path / name
@@ -809,7 +839,7 @@ class TestMalformedPairFile:
 
 
 class TestEntryPoint:
-    def run_entry(self, *argv):
+    def run_entry(self, *argv, launch=("-c", "from sketchguard.cli import entry; entry()")):
         import os
         import subprocess
         import sys
@@ -822,7 +852,7 @@ class TestEntryPoint:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         ))
         return subprocess.run(
-            [sys.executable, "-c", "from sketchguard.cli import entry; entry()", *argv],
+            [sys.executable, *launch, *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
 
@@ -850,3 +880,9 @@ class TestEntryPoint:
         assert run.returncode == EXIT_USAGE
         assert "entry cap" in run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_module_form_runs_the_command(self):
+        ok = self.run_entry("plan", "--t0", "500", "--qhat", "0.2", "--epsilon", "0.05",
+                            launch=("-m", "sketchguard.cli"))
+        assert ok.returncode == 0
+        assert ok.stdout == "t = 8000\n"

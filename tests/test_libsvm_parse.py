@@ -160,6 +160,14 @@ def test_unicode_and_control_separators_match_the_reference(tmp_path, sep):
     assert_loads_like_the_reference(path, None)
 
 
+def test_blank_lines_in_a_token_checked_chunk_are_skipped(tmp_path):
+    # the \xa0 separator keeps this chunk off the bulk path
+    path = tmp_path / "blank.txt"
+    path.write_text("1\xa01:0.5\n\n \xa0\t\n-1 2:1\n\n", encoding="utf-8")
+    assert_loads_like_the_reference(path, None)
+    assert libsvm_load(path).array.tolist() == [[0.5, 0.0], [0.0, 1.0]]
+
+
 def test_lone_carriage_return_ends_a_line(tmp_path):
     path = tmp_path / "cr.txt"
     path.write_bytes(b"1 1:2.0\r-1 2:3.0\r1 x\n")

@@ -62,16 +62,16 @@ class TestTrueError:
 class TestQuantileCurveType:
     def test_requires_increasing_t(self):
         with pytest.raises(ValueError, match="increasing"):
-            QuantileCurve(0.1, (4, 4), (1.0, 0.5), (0.5, 0.5), (1.0, 1.0), 10)
+            QuantileCurve(0.1, (4, 4), (1.0, 0.5), (0.5, 0.5), (1.0, 1.0), 10, np.zeros((10, 2)))
 
     def test_band_ordering(self):
         with pytest.raises(ValueError, match="exceed"):
-            QuantileCurve(0.1, (2,), (1.0,), (2.0,), (1.0,), 10)
+            QuantileCurve(0.1, (2,), (1.0,), (2.0,), (1.0,), 10, np.zeros((10, 1)))
 
     @pytest.mark.parametrize("field", ["values", "band_low", "band_high"])
     def test_fields_must_parallel_the_t_values(self, field):
         fields = dict(alpha=0.1, ts=(2, 4), values=(1.0, 0.5), band_low=(0.5, 0.25),
-                      band_high=(1.5, 0.75), reps=10)
+                      band_high=(1.5, 0.75), reps=10, errors=np.zeros((10, 2)))
         QuantileCurve(**fields)
         fields[field] = fields[field][:1]
         with pytest.raises(ValueError, match="parallel"):
