@@ -50,7 +50,7 @@ from .datagen import (
 )
 from .matcore import DenseMatrix, NonFiniteResultError, ZeroMatrixError
 from .oracle import QuantileCurve, mc_quantile_curve, pair_sampler
-from .parallel import run_indexed
+from .parallel import run_indexed, thread_policy
 from .rng import derive_seed
 from .sketch import LengthSamplingError, SketchKind, SketchPair, SketchSpec, apply_spec
 
@@ -168,8 +168,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     about 1 - alpha.
     Writes ``spec.out`` when set: one row per t with the oracle value and its
     10%/90% bands next to the mean extrapolated estimate and its 10%/90%
-    percentiles.
+    percentiles. Runs under ``thread_policy`` for the spec's kind.
     """
+    with thread_policy(spec.kind):
+        return _run_experiment(spec)
+
+
+def _run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     spec.validate()
     matrix = spec.data_source
     d = matrix.cols
@@ -403,10 +408,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
     # Planning reads only t0 and the value; alpha just completes a valid estimate.
     est = QuantileEstimate(args.t0, ExperimentSpec.alpha, args.qhat, (args.qhat,))
     t = plan_sketch_size(est, args.epsilon)
-    print(f"t = {t}")
+    out = f"t = {t}"  # printed only once the ratio, if asked for, is known
     if args.n is not None:
+        sizes = (("--boot-samples", args.boot_samples), ("--n", args.n), ("--d", args.d))
+        for flag, value in sizes:
+            if value < 1:
+                raise SpecError(f"{flag} must be at least 1, got {value}")
         ratio = budget_check(args.boot_samples, t, args.t0, args.n, args.d)
-        print(f"budget_ratio = {ratio:.9g}")
+        out += f"\nbudget_ratio = {ratio:.9g}"
+    print(out)
     return EXIT_OK
 
 
@@ -514,7 +524,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(
             parser.expand_options_files(sys.argv[1:] if argv is None else list(argv))
         )
-        return args.func(args)
+        pooled = args.command in ("experiment", "oracle")
+        with thread_policy(args.kind if pooled else None):
+            return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code
     except (LibsvmParseError, _PairFileError, OSError, UnicodeDecodeError) as exc:

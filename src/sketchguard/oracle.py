@@ -21,7 +21,7 @@ import numpy as np
 
 from .booterr import empirical_quantile
 from .matcore import DenseMatrix, check_finite_result, check_same_rows, matmul_t
-from .parallel import run_indexed
+from .parallel import run_indexed, thread_policy
 from .rng import derive_seed
 from .sketch import (
     SketchKind, SketchSpec, apply_spec, gaussian_sketch, length_sampling_probs, row_sample_sketch,
@@ -99,6 +99,7 @@ def mc_quantile_curve(
     plus their 10% and 90% percentile bands. The quantile value sits inside
     the bands only when 1-alpha lies between 0.1 and 0.9. ``make_sampler()``,
     once A^T B is checked, gives the sampler, so a caller can share its factoring.
+    Runs under ``thread_policy`` for ``kind``.
     """
     if reps < 10:
         raise ValueError(f"need at least 10 realizations per t, got {reps}")
@@ -109,17 +110,19 @@ def mc_quantile_curve(
         raise ValueError(f"sketch sizes in t_grid must be at least 1, got {grid[0]}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    truth = matmul_t(a, b).array  # first, so an overflowing A^T B is what gets reported
-    draw = make_sampler() if make_sampler is not None else pair_sampler(a, b, kind)
     t_max = grid[-1]
+    with thread_policy(kind):
+        truth = matmul_t(a, b).array  # first, so an overflowing A^T B is what gets reported
+        draw = make_sampler() if make_sampler is not None else pair_sampler(a, b, kind)
 
-    def errors(r: int) -> list[float]:
-        pair = draw(t_max, derive_seed(seed, r))
-        xa, xb = pair.a_sketch.array, pair.b_sketch.array
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [float(np.abs((xa[:t].T @ xb[:t]) * (t_max / t) - truth).max()) for t in grid]
+        def errors(r: int) -> list[float]:
+            pair = draw(t_max, derive_seed(seed, r))
+            xa, xb = pair.a_sketch.array, pair.b_sketch.array
+            with np.errstate(over="ignore", invalid="ignore"):
+                return [float(np.abs((xa[:t].T @ xb[:t]) * (t_max / t) - truth).max())
+                        for t in grid]
 
-    errs = check_finite_result(np.array(run_indexed(errors, reps)), "a sketching error")
+        errs = check_finite_result(np.array(run_indexed(errors, reps)), "a sketching error")
     return QuantileCurve(
         alpha=alpha,
         ts=tuple(grid),

@@ -1,39 +1,156 @@
-"""Thread-pool helper honoring the SKETCHGUARD_THREADS cap.
+"""Worker threads for independent, seed-indexed draws, and the BLAS threads beside them.
 
-Unset means one worker, 0 one worker per core. On a 2-core host with a
-threaded BLAS, serial runs measured faster and smaller than pooled ones; with
-a one-thread BLAS the pool was faster. Larger hosts were not measured.
+``thread_policy`` sets the worker count for one command or library run.
+``SKETCHGUARD_THREADS=N`` means N workers for every sketch kind (``0`` one per
+usable core). Unset, the Monte-Carlo draws of the Gaussian, uniform and length
+kinds run on one worker per usable core, provided the OpenBLAS that numpy
+loaded exposes its thread-count functions. They are looked up once, with
+``ctypes``, on the first run that needs them. Without them an unset variable
+means one worker, as it does for SRHT: each SRHT draw holds an n x k signed
+copy of the data, so pooling it raised peak memory by 11-12% on a 2-core host,
+and it runs serially on OpenBLAS's own threads. Whenever more than one worker
+runs, OpenBLAS is held to one thread for the whole run, data build included,
+because its spinning workers compete with the pool; the previous count is
+restored on every exit. Every work item draws from streams keyed by its index,
+so output is byte-identical at any setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from contextlib import contextmanager
+from functools import cache
+
+from .sketch import SketchKind
 
 ENV_VAR = "SKETCHGUARD_THREADS"
 
+# (get, set) thread-count symbols: numpy >= 2 wheels, numpy 1.24 wheels, a system OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
-def thread_cap() -> int:
+# Module state, like the process-wide BLAS thread count the policy guards: the
+# worker count while a thread_policy is entered, else None.
+_workers: int | None = None
+
+
+def _env_cap() -> int | None:
     raw = os.environ.get(ENV_VAR, "").strip()
     if raw == "":
-        return 1
+        return None
     try:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"{ENV_VAR} must be nonnegative, got {value}")
-    return value or os.cpu_count() or 1
+    return value or _usable_cores()
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def openblas_threads():
+    """``(get, set)`` for the thread count of numpy's OpenBLAS, or None if it has none.
+
+    The lookup goes through numpy's LAPACK extension, whose handle reaches the
+    BLAS library it links.
+    """
+    try:
+        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextmanager
+def thread_policy(kind=None):
+    """Choose the worker count for a run whose pooled draws are of sketch ``kind``.
+
+    ``kind=None`` is a run that pools no draws. Holds OpenBLAS to one thread
+    while more than one worker runs. A nested entry is a no-op.
+    """
+    global _workers
+    if _workers is not None:
+        yield
+        return
+    workers = _env_cap()
+    if workers is None:
+        pooled = kind is not None and kind != SketchKind.SRHT and openblas_threads() is not None
+        workers = _usable_cores() if pooled else 1
+    blas = openblas_threads() if workers > 1 else None
+    saved = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    _workers = workers
+    try:
+        yield
+    finally:
+        _workers = None
+        if blas:
+            blas[1](saved)
+
+
+def thread_cap() -> int:
+    """The worker count in effect: the policy's in ``thread_policy``, else the variable's or 1."""
+    if _workers is not None:
+        return _workers
+    return _env_cap() or 1
 
 
 def run_indexed(fn, count: int) -> list:
     """Evaluate fn(i) for i in range(count), results ordered by index.
 
     Work items must be independent and seed-indexed, so the schedule cannot
-    affect the output.
+    affect the output. The calling thread works beside ``thread_cap() - 1``
+    helpers, taking items in index order. After an item fails no new item is
+    started, and the lowest-index failure is raised, as a serial run would.
     """
     workers = min(thread_cap(), count)
     if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+    results = [None] * count
+    failed = {}
+    claim = itertools.count()
+    stop = threading.Event()
+
+    def work():
+        # next() on a count is one C call, atomic under the interpreter lock
+        while not stop.is_set() and (i := next(claim)) < count:
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:
+                failed[i] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        work()
+    finally:
+        stop.set()
+        for h in helpers:
+            h.join()
+    if failed:
+        raise failed[min(failed)]
+    return results

@@ -86,6 +86,26 @@ class TestPlanCommand:
         assert out == ""
         assert message in caplog.text
 
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            (("--n", "0", "--d", "3"), "--n must be at least 1, got 0"),
+            (("--n", "30", "--d", "0"), "--d must be at least 1, got 0"),
+            (("--n", "30", "--d", "3", "--boot-samples", "0"),
+             "--boot-samples must be at least 1, got 0"),
+        ],
+        ids=["n-zero", "d-zero", "boot-samples-zero"],
+    )
+    def test_budget_size_below_one_is_usage_error_naming_the_flag(
+        self, capsys, caplog, sizes, message
+    ):
+        code, out = run_cli(
+            capsys, "plan", "--t0", "5", "--qhat", "0.2", "--epsilon", "0.05", *sizes
+        )
+        assert code == EXIT_USAGE
+        assert out == ""  # no planned size is printed before the ratio fails
+        assert message in caplog.text
+
 
 class TestSketchAndBootstrapCommands:
     def test_sketch_writes_loadable_pair(self, tmp_path, capsys):
@@ -185,10 +205,10 @@ class TestOracleCommand:
 
 
 class TestExperiment:
-    def small_spec(self, tmp_path, name, seed=4):
+    def small_spec(self, tmp_path, name, seed=4, kind=SketchKind.GAUSSIAN):
         return ExperimentSpec(
             data_source=synth_matrix(SynthProfile(256, 8, RankMode.HIGH, seed)),
-            kind=SketchKind.GAUSSIAN,
+            kind=kind,
             t0=8,
             t_grid=(8, 16, 32),
             alpha=0.1,
@@ -218,12 +238,14 @@ class TestExperiment:
         run_experiment(self.small_spec(tmp_path, "b.csv"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SKETCHGUARD_THREADS", "1")
-        run_experiment(self.small_spec(tmp_path, "serial.csv"))
-        monkeypatch.setenv("SKETCHGUARD_THREADS", "2")
-        run_experiment(self.small_spec(tmp_path, "pooled.csv"))
-        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+    @pytest.mark.parametrize("kind", list(SketchKind), ids=[k.value for k in SketchKind])
+    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch, kind):
+        outputs = []
+        for threads in ("", "1", "2"):  # unset is the default policy
+            monkeypatch.setenv("SKETCHGUARD_THREADS", threads)
+            run_experiment(self.small_spec(tmp_path, f"run{threads}.csv", kind=kind))
+            outputs.append((tmp_path / f"run{threads}.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_gaussian_draws_do_not_materialize_s(self, tmp_path, monkeypatch):
         # oracle and estimator reps sketch R in Gram space (see oracle.pair_sampler)

@@ -1,21 +1,216 @@
-"""Thread-cap environment variable handling."""
+"""Thread policy: the SKETCHGUARD_THREADS cap, the OpenBLAS gate and the pool."""
 
+import logging
 import os
+import sys
+import threading
+import time
 
+import numpy as np
 import pytest
 
-from sketchguard.parallel import ENV_VAR, thread_cap
+from sketchguard import cli, oracle, parallel
+from sketchguard.cli import EXIT_NUMERIC, main
+from sketchguard.matcore import NonFiniteResultError
+from sketchguard.parallel import ENV_VAR, openblas_threads, run_indexed, thread_cap, thread_policy
+from sketchguard.rng import derive_seed
+from sketchguard.sketch import SketchKind
+
+
+def usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.fixture
+def blas_count():
+    """Get the OpenBLAS thread count; the test's starting count is 2, restored afterwards."""
+    blas = openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count functions")
+    get, set_ = blas
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
 
 
 @pytest.mark.parametrize("raw,want", [("", 1), ("0", None), ("3", 3)])
 def test_thread_cap_values(monkeypatch, raw, want):
+    # SRHT draws stay serial by default: each holds an n x k signed copy of the data
     monkeypatch.setenv(ENV_VAR, raw)
-    assert thread_cap() == (want if want is not None else os.cpu_count() or 1)
+    with thread_policy(SketchKind.SRHT):
+        assert thread_cap() == (want if want is not None else usable_cores())
 
 
 def test_unset_thread_cap_is_one_worker(monkeypatch):
+    # outside a policy, for SRHT and for a run that pools no draws
     monkeypatch.delenv(ENV_VAR, raising=False)
     assert thread_cap() == 1
+    for kind in (SketchKind.SRHT, None):
+        with thread_policy(kind):
+            assert thread_cap() == 1
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "length"])
+def test_unset_thread_cap_is_one_worker_per_core_with_openblas(monkeypatch, kind):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    with thread_policy(kind):
+        assert thread_cap() == (usable_cores() if openblas_threads() else 1)
+    assert thread_cap() == 1
+    monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
+    with thread_policy(kind):
+        assert thread_cap() == 1  # no way to hold BLAS to one thread: stay serial
+
+
+def test_nested_policy_is_a_no_op(monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "3")
+    with thread_policy(SketchKind.GAUSSIAN):
+        monkeypatch.setenv(ENV_VAR, "1")
+        with thread_policy(SketchKind.SRHT):
+            assert thread_cap() == 3
+        assert thread_cap() == 3
+    assert thread_cap() == 1
+
+
+def test_gate_finds_the_openblas_numpy_names():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        pytest.skip("this numpy's show_config has no dicts mode")
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS")
+    assert openblas_threads() is not None
+
+
+@pytest.mark.parametrize("threads", ["", "2"])
+def test_blas_held_to_one_thread_from_data_build_and_restored(
+    monkeypatch, tmp_path, blas_count, threads
+):
+    monkeypatch.setenv(ENV_VAR, threads)
+    seen = []
+    real = cli.synth_matrix
+
+    def synth(profile):
+        seen.append((blas_count(), thread_cap()))
+        return real(profile)
+
+    monkeypatch.setattr(cli, "synth_matrix", synth)
+    argv = ["experiment", "--synth", "256,8,high", "--kind", "gaussian", "--t-grid", "8,16",
+            "--oracle-reps", "10", "--reps", "4", "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    blas, workers = seen[0]
+    assert blas == (1 if workers > 1 else 2)
+    assert blas_count() == 2
+
+
+def test_blas_count_restored_after_a_numerical_failure(monkeypatch, tmp_path, blas_count):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    rows = np.random.default_rng(8).standard_normal((64, 8))
+    data = tmp_path / "overflow.txt"
+    data.write_text(
+        "".join("1 " + " ".join(f"{j + 1}:{v * 1e160:.17g}" for j, v in enumerate(r)) + "\n"
+                for r in rows),
+        encoding="utf-8",
+    )
+    argv = ["experiment", "--data", str(data), "--no-normalize", "--kind", "gaussian",
+            "--t-grid", "8,16", "--reps", "2", "--oracle-reps", "10",
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == EXIT_NUMERIC
+    assert blas_count() == 2
+
+
+def test_pool_raises_the_lowest_index_failure(monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "2")
+
+    def fn(i):
+        if i == 3:
+            time.sleep(0.05)  # item 7 fails first in time
+        if i in (3, 7):
+            raise ValueError(f"item {i}")
+        return i * i
+
+    with pytest.raises(ValueError, match="^item 3$"):
+        run_indexed(fn, 20)
+    assert run_indexed(lambda i: i * i, 20) == [i * i for i in range(20)]
+
+
+def test_pool_runs_each_item_once_under_fast_thread_switching(monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "8")  # more workers than cores
+    ran = []
+
+    def fn(i):
+        ran.append(i)
+        return i * i
+
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: out.append(run_indexed(fn, 2000)))
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert out == [[i * i for i in range(2000)]]
+    assert sorted(ran) == list(range(2000))
+
+
+def test_pool_failure_has_the_serial_exit_code_and_message(monkeypatch, caplog):
+    seed = derive_seed(1, 1)  # the oracle command's stream tag
+    failing_reps = {derive_seed(seed, r): r for r in (3, 7)}
+    real = oracle.pair_sampler
+
+    def failing(a, b, kind):
+        draw = real(a, b, kind)
+
+        def failing_draw(t, s):
+            r = failing_reps.get(s)
+            if r == 3:
+                time.sleep(0.05)  # realization 7 fails first in time
+            if r is not None:
+                raise NonFiniteResultError(f"draw {r}")
+            return draw(t, s)
+
+        return failing_draw
+
+    monkeypatch.setattr(oracle, "pair_sampler", failing)
+    argv = ["oracle", "--synth", "128,4,high", "--kind", "gaussian", "--t-grid", "4,8",
+            "--reps", "20", "--seed", "1"]
+    logged = []
+    for threads in ("1", "2", ""):
+        monkeypatch.setenv(ENV_VAR, threads)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            code = main(argv)
+        logged.append((code, [r.getMessage() for r in caplog.records]))
+    assert logged[0] == (EXIT_NUMERIC, ["numerical failure: draw 3"])
+    assert logged[1] == logged[2] == logged[0]
+
+
+@pytest.mark.parametrize("kind,pooled", [("srht", False), ("gaussian", True)])
+def test_default_workers_by_kind(monkeypatch, kind, pooled):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    real = oracle.pair_sampler
+    caps, threads = set(), set()
+
+    def recording(a, b, k):
+        draw = real(a, b, k)
+
+        def recorded(t, s):
+            caps.add(thread_cap())
+            threads.add(threading.get_ident())
+            return draw(t, s)
+
+        return recorded
+
+    monkeypatch.setattr(oracle, "pair_sampler", recording)
+    argv = ["oracle", "--synth", "257,4,high", "--kind", kind, "--t-grid", "4,8", "--reps", "40"]
+    assert main(argv) == 0
+    want = usable_cores() if pooled and openblas_threads() else 1
+    assert caps == {want}
+    if want == 1:
+        assert threads == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("raw,message", [
