@@ -24,6 +24,7 @@ import logging
 import math
 import sys
 import zipfile
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from pathlib import Path
@@ -525,7 +526,7 @@ def main(argv=None) -> int:
             parser.expand_options_files(sys.argv[1:] if argv is None else list(argv))
         )
         pooled = args.command in ("experiment", "oracle")
-        with thread_policy(args.kind if pooled else None):
+        with thread_policy(args.kind) if pooled else nullcontext():
             return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code

@@ -83,11 +83,11 @@ def openblas_threads():
 
 
 @contextmanager
-def thread_policy(kind=None):
+def thread_policy(kind):
     """Choose the worker count for a run whose pooled draws are of sketch ``kind``.
 
-    ``kind=None`` is a run that pools no draws. Holds OpenBLAS to one thread
-    while more than one worker runs. A nested entry is a no-op.
+    Holds OpenBLAS to one thread while more than one worker runs. A nested
+    entry is a no-op.
     """
     global _workers
     if _workers is not None:
@@ -95,11 +95,11 @@ def thread_policy(kind=None):
         return
     workers = _env_cap()
     if workers is None:
-        pooled = kind is not None and kind != SketchKind.SRHT and openblas_threads() is not None
+        pooled = kind != SketchKind.SRHT and openblas_threads() is not None
         workers = _usable_cores() if pooled else 1
     blas = openblas_threads() if workers > 1 else None
-    saved = blas[0]() if blas else None
     if blas:
+        saved = blas[0]()
         blas[1](1)
     _workers = workers
     try:

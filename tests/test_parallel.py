@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sketchguard import cli, oracle, parallel
-from sketchguard.cli import EXIT_NUMERIC, main
+from sketchguard.cli import EXIT_NUMERIC, EXIT_USAGE, main
 from sketchguard.matcore import NonFiniteResultError
 from sketchguard.parallel import ENV_VAR, openblas_threads, run_indexed, thread_cap, thread_policy
 from sketchguard.rng import derive_seed
@@ -43,12 +43,11 @@ def test_thread_cap_values(monkeypatch, raw, want):
 
 
 def test_unset_thread_cap_is_one_worker(monkeypatch):
-    # outside a policy, for SRHT and for a run that pools no draws
+    # outside a policy, and for SRHT
     monkeypatch.delenv(ENV_VAR, raising=False)
     assert thread_cap() == 1
-    for kind in (SketchKind.SRHT, None):
-        with thread_policy(kind):
-            assert thread_cap() == 1
+    with thread_policy(SketchKind.SRHT):
+        assert thread_cap() == 1
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform", "length"])
@@ -217,8 +216,13 @@ def test_default_workers_by_kind(monkeypatch, kind, pooled):
     ("abc", "SKETCHGUARD_THREADS must be an integer, got 'abc'"),
     ("-2", "SKETCHGUARD_THREADS must be nonnegative, got -2"),
 ])
-def test_invalid_thread_cap_names_the_variable(monkeypatch, raw, message):
+def test_invalid_thread_cap_names_the_variable(monkeypatch, caplog, raw, message):
     monkeypatch.setenv(ENV_VAR, raw)
     with pytest.raises(ValueError) as info:
         thread_cap()
     assert str(info.value) == message
+    argv = ["oracle", "--synth", "64,4,high", "--kind", "srht", "--t-grid", "4", "--reps", "10"]
+    assert main(argv) == EXIT_USAGE
+    assert message in caplog.text
+    # a command that pools nothing does not read the variable
+    assert main(["plan", "--t0", "5", "--qhat", "0.2", "--epsilon", "0.05"]) == 0
