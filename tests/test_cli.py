@@ -19,6 +19,7 @@ from sketchguard.cli import (
 )
 from sketchguard.datagen import RankMode, SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix
+from sketchguard.parallel import openblas_threads
 from sketchguard.rng import derive_seed
 from sketchguard.sketch import SketchKind, SketchSpec, apply_spec
 
@@ -489,11 +490,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["uniform", "srht", "gaussian", "length"])
     def test_overflow_without_normalization_is_numeric(self, capsys, caplog, tmp_path, kind):
-        code, _ = run_cli(
-            capsys, "experiment", "--data", self.overflow_data(tmp_path), "--no-normalize",
-            "--kind", kind, "--t-grid", "8,16", "--reps", "2", "--oracle-reps", "10",
-            "--out", str(tmp_path / "o.csv"),
-        )
+        blas = openblas_threads()
+        saved = blas[0]() if blas else None
+        if blas:
+            blas[1](2)  # a pooled run holds it to 1 and must restore it on this exit path too
+        try:
+            code, _ = run_cli(
+                capsys, "experiment", "--data", self.overflow_data(tmp_path), "--no-normalize",
+                "--kind", kind, "--t-grid", "8,16", "--reps", "2", "--oracle-reps", "10",
+                "--out", str(tmp_path / "o.csv"),
+            )
+            assert not blas or blas[0]() == 2
+        finally:
+            if blas:
+                blas[1](saved)
         assert code == EXIT_NUMERIC
         assert "numerical failure: the exact product A^T B is not finite" in caplog.text
 

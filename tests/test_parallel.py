@@ -102,22 +102,6 @@ def test_blas_held_to_one_thread_from_data_build_and_restored(
     assert blas_count() == 2
 
 
-def test_blas_count_restored_after_a_numerical_failure(monkeypatch, tmp_path, blas_count):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    rows = np.random.default_rng(8).standard_normal((64, 8))
-    data = tmp_path / "overflow.txt"
-    data.write_text(
-        "".join("1 " + " ".join(f"{j + 1}:{v * 1e160:.17g}" for j, v in enumerate(r)) + "\n"
-                for r in rows),
-        encoding="utf-8",
-    )
-    argv = ["experiment", "--data", str(data), "--no-normalize", "--kind", "gaussian",
-            "--t-grid", "8,16", "--reps", "2", "--oracle-reps", "10",
-            "--out", str(tmp_path / "o.csv")]
-    assert main(argv) == EXIT_NUMERIC
-    assert blas_count() == 2
-
-
 def test_pool_raises_the_lowest_index_failure(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "2")
 
