@@ -13,8 +13,9 @@ table, so it needs ``--t-grid``; ``bootstrap --pair`` takes the stored
 sketch, so data and sketch flags are errors with it.
 Logs go to standard error; results go to stdout or the ``--out`` file.
 Exit codes: 0 success, 2 usage or spec error, 3 data error (including a
-``--pair`` file that is not a stored sketch pair), 4 numerical failure
-(including running out of memory).
+``--pair`` file that is not a stored sketch pair, and an ``--out`` path that
+cannot be a file in a writable directory, found before any data are read), 4
+numerical failure (including running out of memory).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 import zipfile
 from contextlib import nullcontext
@@ -56,10 +58,10 @@ from .rng import derive_seed
 from .sketch import LengthSamplingError, SketchKind, SketchPair, SketchSpec, apply_spec
 
 __all__ = [
-    "ExperimentSpec",
     "ExperimentResult",
     "SpecError",
     "run_experiment",
+    "write_curve_csv",
     "default_t_grid",
     "save_pair",
     "load_pair",
@@ -105,37 +107,6 @@ def default_t_grid(d: int) -> tuple[int, ...]:
 
 
 @dataclass
-class ExperimentSpec:
-    """One full experiment: data matrix, sketch kind, and all protocol knobs.
-
-    ``t0`` defaults to d/2 and ``t_grid`` to eight log-spaced points from d/2
-    to 10d.
-    """
-
-    data_source: DenseMatrix
-    kind: SketchKind
-    t0: int | None = None
-    t_grid: tuple[int, ...] | None = None
-    alpha: float = 0.01
-    boot_samples: int = 20
-    scheme: BootstrapScheme = BootstrapScheme.MULTIPLIER
-    oracle_reps: int = 400
-    estimator_reps: int = 200
-    seed: int = 0
-    out: str | Path | None = None
-
-    def validate(self) -> None:
-        """Check what no library type checks.
-
-        run_experiment's SketchSpec, BootstrapConfig and mc_quantile_curve check the rest.
-        """
-        if not isinstance(self.data_source, DenseMatrix):
-            raise SpecError("data_source must be a DenseMatrix")
-        if self.estimator_reps < 1:
-            raise SpecError("estimator_reps must be at least 1")
-
-
-@dataclass
 class ExperimentResult:
     """Oracle curve plus per-t extrapolated-estimate statistics and coverage."""
 
@@ -155,8 +126,13 @@ class ExperimentResult:
         ))
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Oracle curve, repeated extrapolated estimates, and the curve CSV.
+def run_experiment(
+    matrix: DenseMatrix, kind: SketchKind, *, t0: int | None = None,
+    t_grid: tuple[int, ...] | None = None, alpha: float = 0.01, boot_samples: int = 20,
+    scheme: BootstrapScheme = BootstrapScheme.MULTIPLIER, oracle_reps: int = 400,
+    estimator_reps: int = 200, seed: int = 0,
+) -> ExperimentResult:
+    """Oracle curve and repeated extrapolated estimates for sketches of ``matrix``.
 
     Draws ``oracle_reps`` sketch realizations, each serving every grid t, for
     the ground-truth quantile, then ``estimator_reps`` independent
@@ -166,48 +142,44 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     draws come from disjoint streams, so ``coverage`` at t is the share of
     all (estimator rep, oracle realization) pairs whose error at t the rep's
     extrapolated bound covers, with no further draws; calibrated, it is
-    about 1 - alpha.
-    Writes ``spec.out`` when set: one row per t with the oracle value and its
-    10%/90% bands next to the mean extrapolated estimate and its 10%/90%
-    percentiles. Runs under ``thread_policy`` for the spec's kind.
+    about 1 - alpha. ``t0`` defaults to d/2 and ``t_grid`` to eight
+    log-spaced points from d/2 to 10d. Writes no file: ``rows`` are the CSV's
+    rows. Runs under ``thread_policy`` for ``kind``.
     """
-    with thread_policy(spec.kind):
-        return _run_experiment(spec)
-
-
-def _run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    spec.validate()
-    matrix = spec.data_source
+    if not isinstance(matrix, DenseMatrix):
+        raise SpecError("matrix must be a DenseMatrix")
+    if estimator_reps < 1:
+        raise SpecError("estimator_reps must be at least 1")
     d = matrix.cols
-    t0 = spec.t0 if spec.t0 is not None else _default_t0(d)
-    grid = tuple(sorted(set(spec.t_grid))) if spec.t_grid is not None else default_t_grid(d)
-    # Built before the oracle, so a bad spec fails before any work; each rep re-seeds boot.
-    sketch = SketchSpec(spec.kind, t0, spec.seed)
-    boot = BootstrapConfig(spec.scheme, spec.boot_samples, spec.alpha, spec.seed)
+    t0 = t0 if t0 is not None else _default_t0(d)
+    grid = tuple(sorted(set(t_grid))) if t_grid is not None else default_t_grid(d)
+    # Built before the oracle, so bad parameters fail before any work; each rep re-seeds boot.
+    sketch = SketchSpec(kind, t0, seed)
+    boot = BootstrapConfig(scheme, boot_samples, alpha, seed)
     if grid and grid[0] < t0:
         LOG.warning("t_grid contains sizes below t0=%d; extrapolation there runs backwards", t0)
     LOG.info(
         "experiment: %dx%d matrix, kind=%s, t0=%d, grid=%s",
         matrix.rows, d, sketch.kind.value, t0, list(grid),
     )
-    make_sampler = cache(partial(pair_sampler, matrix, matrix, sketch.kind))
-    curve = mc_quantile_curve(
-        matrix, matrix, spec.kind, grid, spec.oracle_reps, spec.alpha,
-        derive_seed(spec.seed, _TAG_ORACLE), make_sampler=make_sampler,
-    )
-    LOG.info("oracle curve done (%d reps per t)", spec.oracle_reps)
-    draw = make_sampler()
+    with thread_policy(sketch.kind):
+        make_sampler = cache(partial(pair_sampler, matrix, matrix, sketch.kind))
+        curve = mc_quantile_curve(
+            matrix, matrix, sketch.kind, grid, oracle_reps, alpha,
+            derive_seed(seed, _TAG_ORACLE), make_sampler=make_sampler,
+        )
+        LOG.info("oracle curve done (%d reps per t)", oracle_reps)
+        draw = make_sampler()
 
-    def one_estimate(r: int) -> QuantileEstimate:
-        pair = draw(t0, derive_seed(spec.seed, _TAG_EST_SKETCH, r))
-        boot_r = replace(boot, seed=derive_seed(spec.seed, _TAG_EST_BOOT, r))
-        return bootstrap_quantile(pair, boot_r)
+        def one_estimate(r: int) -> QuantileEstimate:
+            pair = draw(t0, derive_seed(seed, _TAG_EST_SKETCH, r))
+            return bootstrap_quantile(pair, replace(boot, seed=derive_seed(seed, _TAG_EST_BOOT, r)))
 
-    estimates = run_indexed(one_estimate, spec.estimator_reps)
-    LOG.info("estimator reps done (%d)", spec.estimator_reps)
+        estimates = run_indexed(one_estimate, estimator_reps)
+    LOG.info("estimator reps done (%d)", estimator_reps)
 
     extrapolated = [np.array([extrapolate(e, t) for e in estimates]) for t in curve.ts]
-    result = ExperimentResult(
+    return ExperimentResult(
         t0=t0, curve=curve,
         est_mean=tuple(float(ext.mean()) for ext in extrapolated),
         est_lo=tuple(empirical_quantile(ext, 0.1) for ext in extrapolated),
@@ -215,10 +187,6 @@ def _run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         coverage=tuple(float(np.searchsorted(np.sort(e), x, side="right").mean()) / curve.reps
                        for e, x in zip(curve.errors.T, extrapolated)),
     )
-    if spec.out is not None:
-        write_curve_csv(spec.out, result.rows)
-        LOG.info("wrote %s", spec.out)
-    return result
 
 
 def write_curve_csv(path, rows, header: str = CSV_HEADER) -> None:
@@ -258,7 +226,10 @@ def load_pair(path) -> SketchPair:
     valid pair, raises a ValueError that names ``path``.
     """
     try:
-        with np.load(path) as z:
+        z = np.load(path)
+        if not isinstance(z, np.lib.npyio.NpzFile):  # an array, which has no context manager
+            raise TypeError("it is a .npy array, not an .npz archive")
+        with z:
             spec = SketchSpec(str(z["kind"]), int(z["t"]), int(z["seed"]))
             a, b = DenseMatrix(z["a_sketch"]), DenseMatrix(z["b_sketch"])
             return SketchPair(a, b, spec, int(z["source_rows"]))
@@ -309,17 +280,18 @@ def _to_synth(s: str) -> tuple[int, int, RankMode]:
 _DATA = "sketch bootstrap oracle experiment"
 
 # One row per option: the subcommands that take it, its flag, type, default
-# and help. Defaults that ExperimentSpec has come from it.
+# and help. Defaults that run_experiment has come from its signature.
+_DEFAULTS = run_experiment.__kwdefaults__
 _OPTIONS = (
     ("bootstrap", "--pair", None, None, "stored sketch pair (.npz) from the sketch command"),
     ("plan", "--qhat", _finite("qhat"), None, "estimated quantile at t0"),
     ("plan", "--epsilon", _finite("epsilon"), None, "target error bound"),
     ("plan", "--n", int, None, "source row count, enables the budget ratio"),
     ("plan", "--d", int, None, "column count, enables the budget ratio"),
-    ("oracle", "--reps", int, ExperimentSpec.oracle_reps, "sketch realizations per grid point"),
-    ("experiment", "--reps", int, ExperimentSpec.estimator_reps,
+    ("oracle", "--reps", int, _DEFAULTS["oracle_reps"], "sketch realizations per grid point"),
+    ("experiment", "--reps", int, _DEFAULTS["estimator_reps"],
      "independent estimator repetitions, desk-scale substitute"),
-    ("experiment", "--oracle-reps", int, ExperimentSpec.oracle_reps,
+    ("experiment", "--oracle-reps", int, _DEFAULTS["oracle_reps"],
      "oracle realizations per grid point, desk-scale substitute"),
     (_DATA, "--data", None, None, "path to a LIBSVM text file"),
     (_DATA, "--synth", _to_synth, None, "synthetic matrix as n,d,low|high"),
@@ -328,13 +300,13 @@ _OPTIONS = (
     ("sketch bootstrap plan experiment", "--t0", int, None, "initial sketch size (default: d/2)"),
     ("bootstrap oracle experiment", "--t-grid", _to_grid, None,
      "comma list of sketch sizes (default: 8 log-spaced from d/2 to 10d)"),
-    ("bootstrap oracle experiment", "--alpha", _finite("alpha"), ExperimentSpec.alpha,
+    ("bootstrap oracle experiment", "--alpha", _finite("alpha"), _DEFAULTS["alpha"],
      "quantile tail level"),
-    ("bootstrap plan experiment", "--boot-samples", int, ExperimentSpec.boot_samples,
+    ("bootstrap plan experiment", "--boot-samples", int, _DEFAULTS["boot_samples"],
      "bootstrap replicates B"),
-    ("bootstrap experiment", "--scheme", BootstrapScheme, ExperimentSpec.scheme.value,
+    ("bootstrap experiment", "--scheme", BootstrapScheme, _DEFAULTS["scheme"].value,
      "bootstrap scheme: " + "|".join(BootstrapScheme)),
-    (_DATA, "--seed", int, ExperimentSpec.seed, "base seed, 64-bit unsigned"),
+    (_DATA, "--seed", int, _DEFAULTS["seed"], "base seed, 64-bit unsigned"),
     (_DATA, "--out", None, None, "output file path"),
 )
 
@@ -407,7 +379,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if (args.n is None) != (args.d is None):
         raise SpecError("--n and --d go together: give both for the budget ratio, or neither")
     # Planning reads only t0 and the value; alpha just completes a valid estimate.
-    est = QuantileEstimate(args.t0, ExperimentSpec.alpha, args.qhat, (args.qhat,))
+    est = QuantileEstimate(args.t0, _DEFAULTS["alpha"], args.qhat, (args.qhat,))
     t = plan_sketch_size(est, args.epsilon)
     out = f"t = {t}"  # printed only once the ratio, if asked for, is known
     if args.n is not None:
@@ -438,13 +410,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     _require(args, "out", "kind")
-    spec = ExperimentSpec(
-        data_source=_resolve_cli_matrix(args), kind=args.kind, t0=args.t0, t_grid=args.t_grid,
-        alpha=args.alpha, boot_samples=args.boot_samples, scheme=args.scheme,
-        oracle_reps=args.oracle_reps, estimator_reps=args.reps, seed=args.seed, out=args.out,
+    result = run_experiment(
+        _resolve_cli_matrix(args), args.kind, t0=args.t0, t_grid=args.t_grid, alpha=args.alpha,
+        boot_samples=args.boot_samples, scheme=args.scheme, oracle_reps=args.oracle_reps,
+        estimator_reps=args.reps, seed=args.seed,
     )
-    result = run_experiment(spec)
-    print(f"wrote {spec.out}: {len(result.rows)} grid points, t0={result.t0}")
+    write_curve_csv(args.out, result.rows)
+    LOG.info("wrote %s", args.out)
+    print(f"wrote {args.out}: {len(result.rows)} grid points, t0={result.t0}")
     return EXIT_OK
 
 
@@ -525,6 +498,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(
             parser.expand_options_files(sys.argv[1:] if argv is None else list(argv))
         )
+        # Checked before any data are read, opening nothing, so a run that fails later
+        # leaves an existing file as it was; "" is standard output for oracle.
+        out = getattr(args, "out", None)
+        if out and (Path(out).is_dir() or not os.access(Path(out).parent, os.W_OK)):
+            raise OSError(f"cannot write {out}: not a file in an existing, writable directory")
         pooled = args.command in ("experiment", "oracle")
         with thread_policy(args.kind) if pooled else nullcontext():
             return args.func(args)

@@ -66,15 +66,6 @@ class DenseMatrix:
         """Read-only 2-D view of the entries."""
         return self._a
 
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only flat row-major view of the entries."""
-        return self._a.reshape(-1)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented

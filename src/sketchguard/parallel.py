@@ -1,18 +1,18 @@
 """Worker threads for independent, seed-indexed draws, and the BLAS threads beside them.
 
-``thread_policy`` sets the worker count for one command or library run.
-``SKETCHGUARD_THREADS=N`` means N workers for every sketch kind (``0`` one per
-usable core). Unset, the Monte-Carlo draws of the Gaussian, uniform and length
-kinds run on one worker per usable core, provided the OpenBLAS that numpy
-loaded exposes its thread-count functions. They are looked up once, with
-``ctypes``, on the first run that needs them. Without them an unset variable
-means one worker, as it does for SRHT: each SRHT draw holds an n x k signed
-copy of the data, so pooling it raised peak memory by 11-12% on a 2-core host,
-and it runs serially on OpenBLAS's own threads. Whenever more than one worker
-runs, OpenBLAS is held to one thread for the whole run, data build included,
-because its spinning workers compete with the pool; the previous count is
-restored on every exit. Every work item draws from streams keyed by its index,
-so output is byte-identical at any setting.
+``thread_policy`` sets the worker count for one command or library run, and is the
+only reader of ``SKETCHGUARD_THREADS``: ``N`` means N workers for every sketch kind
+(``0`` one per usable core). Unset, the Monte-Carlo draws of the Gaussian, uniform
+and length kinds run on one worker per usable core, provided the OpenBLAS that numpy
+loaded exposes its thread-count functions. They are looked up once, with ``ctypes``,
+on the first run that needs them. Without them an unset variable means one worker,
+as it does for SRHT: each SRHT draw holds an n x k signed copy of the data, so
+pooling it raised peak memory by 11-12% on a 2-core host, and it runs serially on
+OpenBLAS's own threads. Whenever more than one worker runs, OpenBLAS is held to one
+thread for the whole run, data build included, because its spinning workers compete
+with the pool; the previous count is restored on every exit. Outside a policy one
+worker runs. Every work item draws from streams keyed by its index, so output is
+byte-identical at any setting.
 """
 
 from __future__ import annotations
@@ -111,10 +111,8 @@ def thread_policy(kind):
 
 
 def thread_cap() -> int:
-    """The worker count in effect: the policy's in ``thread_policy``, else the variable's or 1."""
-    if _workers is not None:
-        return _workers
-    return _env_cap() or 1
+    """The worker count in effect: the policy's in ``thread_policy``, else 1."""
+    return _workers or 1
 
 
 def run_indexed(fn, count: int) -> list:

@@ -279,6 +279,4 @@ def apply_spec(a: DenseMatrix, b: DenseMatrix, spec: SketchSpec) -> SketchPair:
     if spec.kind is SketchKind.LENGTH_SAMPLE:
         probs = length_sampling_probs(a, b)
         return row_sample_sketch(a, b, probs, spec.t, spec.seed, kind=spec.kind)
-    if spec.kind is SketchKind.SRHT:
-        return srht_sketch(a, b, spec.t, spec.seed)
-    raise ValueError(f"unsupported sketch kind: {spec.kind!r}")
+    return srht_sketch(a, b, spec.t, spec.seed)  # SketchSpec admits only the four kinds

@@ -20,7 +20,7 @@ from sketchguard.booterr import (
     empirical_quantile,
     multiplier_error,
 )
-from sketchguard.cli import ExperimentSpec, default_t_grid, run_experiment
+from sketchguard.cli import default_t_grid, run_experiment
 from sketchguard.datagen import (
     FeatureIndexRangeError,
     MalformedTokenError,
@@ -151,10 +151,10 @@ def _coverage_experiment(m, kind):
     (estimator rep, oracle realization) pairs whose error the bound covers.
     """
     d = m.cols
-    return run_experiment(ExperimentSpec(
+    return run_experiment(
         m, kind, t0=d // 2, t_grid=default_t_grid(d) + (4 * d,), alpha=0.1,
         boot_samples=20, oracle_reps=400, estimator_reps=200, seed=22,
-    ))
+    )
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Command-line surface tests: subcommands, exit codes, CSV output, options files."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from sketchguard.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_USAGE,
-    ExperimentSpec,
     default_t_grid,
     load_pair,
     main,
     run_experiment,
     save_pair,
+    write_curve_csv,
 )
 from sketchguard.datagen import RankMode, SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix
@@ -206,24 +208,19 @@ class TestOracleCommand:
 
 
 class TestExperiment:
-    def small_spec(self, tmp_path, name, seed=4, kind=SketchKind.GAUSSIAN):
-        return ExperimentSpec(
-            data_source=synth_matrix(SynthProfile(256, 8, RankMode.HIGH, seed)),
-            kind=kind,
-            t0=8,
-            t_grid=(8, 16, 32),
-            alpha=0.1,
-            boot_samples=20,
-            scheme=BootstrapScheme.MULTIPLIER,
-            oracle_reps=100,
-            estimator_reps=60,
-            seed=seed,
-            out=tmp_path / name,
+    @staticmethod
+    def small_experiment(seed=4, kind=SketchKind.GAUSSIAN, **overrides):
+        """run_experiment on a prebuilt 256 x 8 matrix with small-run parameters."""
+        params = dict(
+            t0=8, t_grid=(8, 16, 32), alpha=0.1, boot_samples=20,
+            scheme=BootstrapScheme.MULTIPLIER, oracle_reps=100, estimator_reps=60, seed=seed,
         )
+        matrix = synth_matrix(SynthProfile(256, 8, RankMode.HIGH, seed))
+        return partial(run_experiment, matrix, kind, **{**params, **overrides})
 
     def test_csv_schema_and_smoke_fidelity(self, tmp_path):
-        spec = self.small_spec(tmp_path, "run.csv")
-        result = run_experiment(spec)
+        result = self.small_experiment()()
+        write_curve_csv(tmp_path / "run.csv", result.rows)
         lines = (tmp_path / "run.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
@@ -235,8 +232,8 @@ class TestExperiment:
         assert sum(gaps) / len(gaps) < 0.6
 
     def test_byte_reproducible(self, tmp_path):
-        run_experiment(self.small_spec(tmp_path, "a.csv"))
-        run_experiment(self.small_spec(tmp_path, "b.csv"))
+        write_curve_csv(tmp_path / "a.csv", self.small_experiment()().rows)
+        write_curve_csv(tmp_path / "b.csv", self.small_experiment()().rows)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("kind", list(SketchKind), ids=[k.value for k in SketchKind])
@@ -244,11 +241,12 @@ class TestExperiment:
         outputs = []
         for threads in ("", "1", "2"):  # unset is the default policy
             monkeypatch.setenv("SKETCHGUARD_THREADS", threads)
-            run_experiment(self.small_spec(tmp_path, f"run{threads}.csv", kind=kind))
+            result = self.small_experiment(kind=kind)()
+            write_curve_csv(tmp_path / f"run{threads}.csv", result.rows)
             outputs.append((tmp_path / f"run{threads}.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_gaussian_draws_do_not_materialize_s(self, tmp_path, monkeypatch):
+    def test_gaussian_draws_do_not_materialize_s(self, monkeypatch):
         # oracle and estimator reps sketch R in Gram space (see oracle.pair_sampler)
         rows = []
         real = oracle.gaussian_sketch
@@ -258,46 +256,40 @@ class TestExperiment:
             return real(a, b, t, seed)
 
         monkeypatch.setattr(oracle, "gaussian_sketch", recorder)
-        spec = self.small_spec(tmp_path, "gram.csv")
-        result = run_experiment(spec)
+        experiment = self.small_experiment()
+        result = experiment()
+        matrix, params = experiment.args[0], experiment.keywords
         assert all(row[1] > 0 and row[4] > 0 for row in result.rows)
-        assert len(rows) == spec.oracle_reps + spec.estimator_reps
-        assert max(rows) <= min(spec.data_source.rows, spec.data_source.cols)
+        assert len(rows) == params["oracle_reps"] + params["estimator_reps"]
+        assert max(rows) <= min(matrix.rows, matrix.cols)
 
     def test_zero_matrix_yields_zero_columns(self, tmp_path):
-        spec = ExperimentSpec(
-            data_source=DenseMatrix(np.zeros((32, 4))),
-            kind=SketchKind.GAUSSIAN,
-            t0=4,
-            t_grid=(4, 8),
-            alpha=0.1,
-            oracle_reps=20,
-            estimator_reps=10,
-            seed=1,
-            out=tmp_path / "zero.csv",
+        result = run_experiment(
+            DenseMatrix(np.zeros((32, 4))), SketchKind.GAUSSIAN, t0=4, t_grid=(4, 8),
+            alpha=0.1, oracle_reps=20, estimator_reps=10, seed=1,
         )
-        result = run_experiment(spec)
         for row in result.rows:
             assert all(v == 0.0 for v in row[1:])
+        write_curve_csv(tmp_path / "zero.csv", result.rows)
         for line in (tmp_path / "zero.csv").read_text().splitlines()[1:]:
             assert line.split(",")[1:] == ["0"] * 6
 
     def test_zero_matrix_is_always_covered(self):
         z = DenseMatrix(np.zeros((8, 2)))
-        result = run_experiment(ExperimentSpec(
+        result = run_experiment(
             z, SketchKind.GAUSSIAN, t0=2, t_grid=(4,), alpha=0.1, boot_samples=5,
             oracle_reps=20, estimator_reps=20, seed=1,
-        ))
+        )
         assert result.coverage == (1.0,)
 
     def test_median_bound_covers_about_half(self):
         # At t = t0 the bound is the bootstrap median itself, so coverage
         # should sit near 1/2 (alpha at the top of the allowed range).
         m = synth_matrix(SynthProfile(64, 4, "high", 1))
-        result = run_experiment(ExperimentSpec(
+        result = run_experiment(
             m, SketchKind.GAUSSIAN, t0=64, t_grid=(64,), alpha=0.49, boot_samples=200,
             oracle_reps=500, estimator_reps=500, seed=3,
-        ))
+        )
         assert abs(result.coverage[0] - 0.51) <= 0.1
 
     def test_experiment_command_end_to_end(self, tmp_path, capsys):
@@ -334,22 +326,16 @@ class TestExperiment:
             "--seed", str(seed), "--out", str(tmp_path / "cli.csv"),
         )
         assert code == 0
-        run_experiment(ExperimentSpec(
-            data_source=synth_matrix(SynthProfile(n, d, "high", derive_seed(seed, 0))),
-            kind=SketchKind.LENGTH_SAMPLE,
-            t_grid=(4, 8, 16),
-            alpha=0.1,
-            oracle_reps=20,
-            estimator_reps=12,
-            seed=seed,
-            out=tmp_path / "lib.csv",
-        ))
+        result = run_experiment(
+            synth_matrix(SynthProfile(n, d, "high", derive_seed(seed, 0))),
+            SketchKind.LENGTH_SAMPLE, t_grid=(4, 8, 16), alpha=0.1, oracle_reps=20,
+            estimator_reps=12, seed=seed,
+        )
+        write_curve_csv(tmp_path / "lib.csv", result.rows)
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
-    def test_grid_below_t0_logs_one_warning(self, tmp_path, caplog):
-        spec = self.small_spec(tmp_path, "low.csv")
-        spec.t_grid, spec.oracle_reps, spec.estimator_reps = (4, 8, 16), 10, 2
-        run_experiment(spec)
+    def test_grid_below_t0_logs_one_warning(self, caplog):
+        self.small_experiment(t_grid=(4, 8, 16), oracle_reps=10, estimator_reps=2)()
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == [
             "t_grid contains sizes below t0=8; extrapolation there runs backwards"
@@ -365,11 +351,9 @@ class TestExperiment:
         assert "estimator_reps must be at least 1" in caplog.text
         assert not (tmp_path / "none.csv").exists()
 
-    def test_validation_errors(self, tmp_path):
-        spec = self.small_spec(tmp_path, "x.csv")
-        spec.alpha = 0.7
+    def test_validation_errors(self):
         with pytest.raises(ValueError):
-            run_experiment(spec)
+            self.small_experiment(alpha=0.7)()
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -383,25 +367,23 @@ class TestExperiment:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_gaussian_experiment_factors_the_data_once(self, tmp_path, monkeypatch):
-        spec = self.small_spec(tmp_path, "once.csv")
+    def test_gaussian_experiment_factors_the_data_once(self, monkeypatch):
+        experiment = self.small_experiment()
         qr_calls = self.count_calls(monkeypatch, np.linalg, "qr")
-        run_experiment(spec)
+        experiment()
         assert len(qr_calls) == 1
 
-    def test_length_experiment_weighs_the_rows_once(self, tmp_path, monkeypatch):
-        spec = self.small_spec(tmp_path, "once.csv")
-        spec.kind = SketchKind.LENGTH_SAMPLE
+    def test_length_experiment_weighs_the_rows_once(self, monkeypatch):
+        experiment = self.small_experiment(kind=SketchKind.LENGTH_SAMPLE)
         prob_calls = self.count_calls(monkeypatch, oracle, "length_sampling_probs")
-        run_experiment(spec)
+        experiment()
         assert len(prob_calls) == 1
 
-    def test_bad_oracle_reps_fail_before_the_data_is_factored(self, tmp_path, monkeypatch):
-        spec = self.small_spec(tmp_path, "bad.csv")
-        spec.oracle_reps = 5
+    def test_bad_oracle_reps_fail_before_the_data_is_factored(self, monkeypatch):
+        experiment = self.small_experiment(oracle_reps=5)
         qr_calls = self.count_calls(monkeypatch, np.linalg, "qr")
         with pytest.raises(ValueError, match="at least 10 realizations"):
-            run_experiment(spec)
+            experiment()
         assert qr_calls == []
 
 
@@ -421,6 +403,31 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert "synth mode must be low or high, got 'medium'" in caplog.text
+
+    @pytest.mark.parametrize("command", ["sketch", "bootstrap", "oracle", "experiment"])
+    def test_unwritable_out_fails_before_reading_data(self, capsys, caplog, tmp_path, command):
+        bad = tmp_path / "bad.svm"
+        bad.write_text("1 1:0.5\n1 x\n", encoding="utf-8")
+        argv = [command, "--data", str(bad), "--kind", "srht"]
+        argv += ["--t-grid", "4"] if command == "bootstrap" else []
+        missing = tmp_path / "missing" / "out.csv"
+        code, out = run_cli(capsys, *argv, "--out", str(missing))
+        assert code == EXIT_DATA
+        assert out == ""
+        message = _caplog_message(caplog)
+        assert str(missing) in message and "line 2" not in message
+        assert not missing.parent.exists()
+        caplog.clear()
+        assert run_cli(capsys, *argv, "--out", str(tmp_path))[0] == EXIT_DATA
+        assert f"cannot write {tmp_path}" in _caplog_message(caplog)
+        # a run that fails after the check leaves an existing output file as it was
+        existing = tmp_path / "existing.out"
+        existing.write_bytes(b"keep")
+        caplog.clear()
+        code, out = run_cli(capsys, *argv, "--out", str(existing))
+        assert code == EXIT_DATA
+        assert "line 2" in _caplog_message(caplog)
+        assert existing.read_bytes() == b"keep"
 
     def test_usage_error_on_missing_source(self, capsys, tmp_path):
         code, _ = run_cli(
@@ -868,6 +875,17 @@ class TestMalformedPairFile:
         assert code == EXIT_DATA
         assert out == ""
         assert str(path) in _caplog_message(caplog)
+
+    def test_npy_file_is_rejected_as_not_an_archive(self, tmp_path, capsys, caplog):
+        # an array loaded from a .npy file cannot enter a with block (AttributeError on 3.10)
+        path = tmp_path / "x.npy"
+        np.save(path, np.ones((4, 3)))
+        code, out = run_cli(capsys, "bootstrap", "--pair", str(path))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert _caplog_message(caplog) == (
+            f"data error: {path}: not a stored sketch pair: it is a .npy array, not an .npz archive"
+        )
 
 
 class TestEntryPoint:

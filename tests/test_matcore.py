@@ -28,8 +28,8 @@ class TestDenseMatrix:
     def test_basic_shape_and_data(self):
         m = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
         assert (m.rows, m.cols) == (2, 2)
-        assert m.shape == (2, 2)
-        assert m.data.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert m.array.shape == (2, 2)
+        assert m.array.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import pytest
 from helpers import linf_norm, mc_mean_check, true_error
 from sketchguard import oracle, sketch
 from sketchguard.booterr import empirical_quantile
-from sketchguard.cli import ExperimentSpec, main, run_experiment
+from sketchguard.cli import main, run_experiment
 from sketchguard.datagen import SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix, matmul_t
 from sketchguard.oracle import QuantileCurve, mc_quantile_curve, pair_sampler
@@ -193,7 +193,7 @@ class TestGramSpaceSampler:
         b = synth_matrix(SynthProfile(64, 3, "high", 55))
         draw = pair_sampler(a, b, "gaussian")
         pair = draw(6, 1)
-        assert pair.a_sketch.shape == (6, 4) and pair.b_sketch.shape == (6, 3)
+        assert pair.a_sketch.array.shape == (6, 4) and pair.b_sketch.array.shape == (6, 3)
         assert pair.source_rows == 64 and pair.spec == SketchSpec("gaussian", 6, 1)
         same = pair_sampler(a, a, "gaussian")(6, 1)
         assert same.b_sketch is same.a_sketch
@@ -231,10 +231,10 @@ class TestGramSpaceSampler:
         m = synth_matrix(SynthProfile(128, 4, "high", 59))
         curve = mc_quantile_curve(m, m, SketchKind.GAUSSIAN, [4, 8], 20, 0.1, 0)
         assert all(v > 0 for v in curve.values)
-        result = run_experiment(ExperimentSpec(
+        result = run_experiment(
             m, SketchKind.GAUSSIAN, t0=4, t_grid=(8,), alpha=0.1, boot_samples=5,
             oracle_reps=10, estimator_reps=10, seed=1,
-        ))
+        )
         assert 0.0 <= result.coverage[0] <= 1.0
         assert len(rows) == 20 + 10 + 10
         assert max(rows) <= min(m.rows, m.cols)

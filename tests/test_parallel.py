@@ -50,6 +50,15 @@ def test_unset_thread_cap_is_one_worker(monkeypatch):
         assert thread_cap() == 1
 
 
+def test_outside_a_policy_the_variable_is_not_read_and_items_run_serially(monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "2")
+    assert thread_cap() == 1
+    caller = threading.get_ident()
+    assert run_indexed(lambda i: threading.get_ident(), 8) == [caller] * 8
+    monkeypatch.setenv(ENV_VAR, "abc")
+    assert thread_cap() == 1
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "uniform", "length"])
 def test_unset_thread_cap_is_one_worker_per_core_with_openblas(monkeypatch, kind):
     monkeypatch.delenv(ENV_VAR, raising=False)
@@ -112,9 +121,11 @@ def test_pool_raises_the_lowest_index_failure(monkeypatch):
             raise ValueError(f"item {i}")
         return i * i
 
-    with pytest.raises(ValueError, match="^item 3$"):
-        run_indexed(fn, 20)
-    assert run_indexed(lambda i: i * i, 20) == [i * i for i in range(20)]
+    with thread_policy(SketchKind.GAUSSIAN):
+        assert thread_cap() == 2
+        with pytest.raises(ValueError, match="^item 3$"):
+            run_indexed(fn, 20)
+        assert run_indexed(lambda i: i * i, 20) == [i * i for i in range(20)]
 
 
 def test_pool_runs_each_item_once_under_fast_thread_switching(monkeypatch):
@@ -129,9 +140,10 @@ def test_pool_runs_each_item_once_under_fast_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        caller = threading.Thread(target=lambda: out.append(run_indexed(fn, 2000)))
-        caller.start()
-        caller.join(timeout=60)
+        with thread_policy(SketchKind.GAUSSIAN):
+            caller = threading.Thread(target=lambda: out.append(run_indexed(fn, 2000)))
+            caller.start()
+            caller.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not caller.is_alive()
@@ -203,7 +215,8 @@ def test_default_workers_by_kind(monkeypatch, kind, pooled):
 def test_invalid_thread_cap_names_the_variable(monkeypatch, caplog, raw, message):
     monkeypatch.setenv(ENV_VAR, raw)
     with pytest.raises(ValueError) as info:
-        thread_cap()
+        with thread_policy(SketchKind.SRHT):
+            pass
     assert str(info.value) == message
     argv = ["oracle", "--synth", "64,4,high", "--kind", "srht", "--t-grid", "4", "--reps", "10"]
     assert main(argv) == EXIT_USAGE
