@@ -24,7 +24,7 @@ for a target accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -81,24 +81,19 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class QuantileEstimate:
-    """A bootstrap quantile at sketch size t0, with the replicate samples kept.
-
-    ``value`` is the (1 - alpha) interpolated quantile of ``samples`` and can
-    be re-derived from them.
-    """
+    """A bootstrap estimate at t0; ``value`` is the (1 - alpha) quantile of its ``samples``."""
 
     t0: int
     alpha: float
-    value: float
     samples: tuple[float, ...]
+    value: float = field(init=False)
 
     def __post_init__(self):
         if self.t0 < 1:
             raise ValueError("t0 must be at least 1")
-        if not self.samples:
-            raise ValueError("samples must be nonempty")
-        if self.value < 0.0 or any(s < 0.0 for s in self.samples):
-            raise ValueError("bootstrap samples and their quantile are nonnegative")
+        object.__setattr__(self, "value", empirical_quantile(self.samples, 1.0 - self.alpha))
+        if min(self.samples) < 0.0:
+            raise ValueError("bootstrap samples are nonnegative")
 
 
 def multiplier_error(pair: SketchPair, weights) -> np.ndarray:
@@ -170,8 +165,7 @@ def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstima
                 pair, _weights(cfg.scheme, gen, stop - start, t)
             )
     check_finite_result(samples, "a bootstrap sample")
-    value = empirical_quantile(samples, 1.0 - cfg.alpha)
-    return QuantileEstimate(t0=t, alpha=cfg.alpha, value=value, samples=tuple(samples.tolist()))
+    return QuantileEstimate(t0=t, alpha=cfg.alpha, samples=tuple(samples.tolist()))
 
 
 def extrapolate(est: QuantileEstimate, t: int) -> float:

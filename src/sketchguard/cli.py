@@ -367,7 +367,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
         rows = [(t, extrapolate(est, t)) for t in sorted(set(args.t_grid))]
         for t, value in rows:
             print(f"q_ext({t}) = {value:.9g}")
-        if args.out:
+        if args.out is not None:
             write_curve_csv(args.out, rows, "t,q_ext")
     return EXIT_OK
 
@@ -378,8 +378,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         raise SpecError(f"--qhat must be nonnegative, got {args.qhat!r}")
     if (args.n is None) != (args.d is None):
         raise SpecError("--n and --d go together: give both for the budget ratio, or neither")
-    # Planning reads only t0 and the value; alpha just completes a valid estimate.
-    est = QuantileEstimate(args.t0, _DEFAULTS["alpha"], args.qhat, (args.qhat,))
+    # One sample is its own quantile at any level, so the estimate's value is --qhat.
+    est = QuantileEstimate(args.t0, _DEFAULTS["alpha"], (args.qhat,))
     t = plan_sketch_size(est, args.epsilon)
     out = f"t = {t}"  # printed only once the ratio, if asked for, is known
     if args.n is not None:
@@ -401,10 +401,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         args.reps, args.alpha, derive_seed(args.seed, _TAG_ORACLE),
     )
     rows = zip(curve.ts, curve.values, curve.band_low, curve.band_high)
-    out = args.out or None
-    write_curve_csv(out, rows, "t,oracle_q,oracle_lo,oracle_hi")
-    if out:
-        print(f"wrote {out}")
+    write_curve_csv(args.out, rows, "t,oracle_q,oracle_lo,oracle_hi")
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -499,8 +498,10 @@ def main(argv=None) -> int:
             parser.expand_options_files(sys.argv[1:] if argv is None else list(argv))
         )
         # Checked before any data are read, opening nothing, so a run that fails later
-        # leaves an existing file as it was; "" is standard output for oracle.
+        # leaves an existing file as it was.
         out = getattr(args, "out", None)
+        if out == "":
+            raise SpecError("--out must name a file, got ''")
         if out and (Path(out).is_dir() or not os.access(Path(out).parent, os.W_OK)):
             raise OSError(f"cannot write {out}: not a file in an existing, writable directory")
         pooled = args.command in ("experiment", "oracle")

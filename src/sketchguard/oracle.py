@@ -32,25 +32,29 @@ __all__ = ["QuantileCurve", "mc_quantile_curve"]
 
 @dataclass(frozen=True)
 class QuantileCurve:
-    """Quantile values at increasing t, 10%/90% bands, and the (reps x t) errors behind them."""
+    """Per-t (1 - alpha) quantiles and 10%/90% bands, derived from the (reps x t) errors."""
 
     alpha: float
     ts: tuple[int, ...]
-    values: tuple[float, ...]
-    band_low: tuple[float, ...]
-    band_high: tuple[float, ...]
-    reps: int
     errors: np.ndarray = field(compare=False, repr=False)
+    values: tuple[float, ...] = field(init=False)
+    band_low: tuple[float, ...] = field(init=False)
+    band_high: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.ts, self.ts[1:])):
             raise ValueError("t values must be strictly increasing")
-        if any(v < 0 for v in self.values):
-            raise ValueError("quantile values must be nonnegative")
-        if not len(self.ts) == len(self.values) == len(self.band_low) == len(self.band_high):
-            raise ValueError("values and bands must parallel the t values")
-        if any(lo > hi for lo, hi in zip(self.band_low, self.band_high)):
-            raise ValueError("band_low must not exceed band_high")
+        errs = np.asarray(self.errors)
+        if errs.ndim != 2 or errs.shape[1] != len(self.ts) or errs.size == 0:
+            raise ValueError("errors must be a nonempty 2-D array with one column per t value")
+        if (errs < 0).any():
+            raise ValueError("realized errors are nonnegative")
+        for name, p in (("values", 1.0 - self.alpha), ("band_low", 0.1), ("band_high", 0.9)):
+            object.__setattr__(self, name, tuple(empirical_quantile(e, p) for e in errs.T))
+
+    @property
+    def reps(self) -> int:
+        return self.errors.shape[0]
 
 
 def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
@@ -123,13 +127,5 @@ def mc_quantile_curve(
                         for t in grid]
 
         errs = check_finite_result(np.array(run_indexed(errors, reps)), "a sketching error")
-    return QuantileCurve(
-        alpha=alpha,
-        ts=tuple(grid),
-        values=tuple(empirical_quantile(e, 1.0 - alpha) for e in errs.T),
-        band_low=tuple(empirical_quantile(e, 0.1) for e in errs.T),
-        band_high=tuple(empirical_quantile(e, 0.9) for e in errs.T),
-        reps=reps,
-        errors=errs,
-    )
+    return QuantileCurve(alpha, tuple(grid), errs)
 

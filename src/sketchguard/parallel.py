@@ -6,9 +6,9 @@ only reader of ``SKETCHGUARD_THREADS``: ``N`` means N workers for every sketch k
 and length kinds run on one worker per usable core, provided the OpenBLAS that numpy
 loaded exposes its thread-count functions. They are looked up once, with ``ctypes``,
 on the first run that needs them. Without them an unset variable means one worker,
-as it does for SRHT: each SRHT draw holds an n x k signed copy of the data, so
-pooling it raised peak memory by 11-12% on a 2-core host, and it runs serially on
-OpenBLAS's own threads. Whenever more than one worker runs, OpenBLAS is held to one
+as it does for SRHT, which runs serially on OpenBLAS's own threads: pooling it
+raised the srht-libsvm benchmark's peak memory from 55-57 to 62-64 MB (10-15%) on
+a 2-core host. Whenever more than one worker runs, OpenBLAS is held to one
 thread for the whole run, data build included, because its spinning workers compete
 with the pool; the previous count is restored on every exit. Outside a policy one
 worker runs. Every work item draws from streams keyed by its index, so output is

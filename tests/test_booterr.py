@@ -382,23 +382,24 @@ class TestStreamsIndependentOfSketch:
 
 class TestQuantileEstimateType:
     @pytest.mark.parametrize(
-        "t0,value,samples,message",
+        "t0,samples,message",
         [
-            (0, 0.5, (0.5,), "t0 must be at least 1"),
-            (4, 0.5, (), "samples must be nonempty"),
-            (4, -0.5, (0.5,), "nonnegative"),
-            (4, 0.5, (0.5, -0.5), "nonnegative"),
+            (0, (0.5,), "t0 must be at least 1"),
+            (4, (), "samples must be a nonempty 1-D collection"),
+            (4, (0.5, -0.5), "nonnegative"),
+            (4, ((0.5,), (0.25,)), "samples must be a nonempty 1-D collection"),
+            (4, (0.5, math.inf), "samples must be finite"),
         ],
-        ids=["t0-zero", "no-samples", "negative-value", "negative-sample"],
+        ids=["t0-zero", "no-samples", "negative-sample", "nested-samples", "infinite-sample"],
     )
-    def test_rejects_invalid_fields(self, t0, value, samples, message):
+    def test_rejects_invalid_fields(self, t0, samples, message):
         with pytest.raises(ValueError, match=message):
-            QuantileEstimate(t0=t0, alpha=0.01, value=value, samples=samples)
+            QuantileEstimate(t0=t0, alpha=0.01, samples=samples)
 
 
 class TestExtrapolation:
     def est(self, t0=100, value=0.4) -> QuantileEstimate:
-        return QuantileEstimate(t0=t0, alpha=0.01, value=value, samples=(value,))
+        return QuantileEstimate(t0=t0, alpha=0.01, samples=(value,))
 
     def test_identity_at_t0(self):
         e = self.est()
@@ -428,7 +429,7 @@ class TestExtrapolation:
 
 class TestPlanSketchSize:
     def est(self, t0, value) -> QuantileEstimate:
-        return QuantileEstimate(t0=t0, alpha=0.01, value=value, samples=(value,))
+        return QuantileEstimate(t0=t0, alpha=0.01, samples=(value,))
 
     def test_zero_estimate_plans_one(self):
         assert plan_sketch_size(self.est(100, 0.0), 0.05) == 1

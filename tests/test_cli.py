@@ -354,6 +354,8 @@ class TestExperiment:
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             self.small_experiment(alpha=0.7)()
+        with pytest.raises(ValueError, match="matrix must be a DenseMatrix"):
+            run_experiment(np.ones((16, 2)), SketchKind.GAUSSIAN)
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -404,6 +406,11 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "synth mode must be low or high, got 'medium'" in caplog.text
 
+    def test_help_exits_zero(self, capsys):
+        code, out = run_cli(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: sketchguard")
+
     @pytest.mark.parametrize("command", ["sketch", "bootstrap", "oracle", "experiment"])
     def test_unwritable_out_fails_before_reading_data(self, capsys, caplog, tmp_path, command):
         bad = tmp_path / "bad.svm"
@@ -428,6 +435,12 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "line 2" in _caplog_message(caplog)
         assert existing.read_bytes() == b"keep"
+        # an empty --out names no file: a usage error, for oracle too
+        caplog.clear()
+        code, out = run_cli(capsys, *argv, "--out", "")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--out must name a file" in _caplog_message(caplog)
 
     def test_usage_error_on_missing_source(self, capsys, tmp_path):
         code, _ = run_cli(
@@ -762,10 +775,13 @@ class TestConfigValuesParseLikeFlags:
             ("--kind fourier", "--kind"),
             ("--scheme jackknife", "--scheme"),
             ("--alpha inf", "alpha must be a finite number"),
+            ("--alpha abc", "alpha must be a finite number, got 'abc'"),
+            ("--synth 10,2", "synth takes n,d,low|high, got '10,2'"),
         ],
         # each id names the bad setting, then the expected message
         ids=["t0 = abc---t0", "t-grid = 8,x---t-grid", "kind = fourier---kind",
-             "scheme = jackknife---scheme", "alpha = inf-alpha must be a finite number"],
+             "scheme = jackknife---scheme", "alpha = inf-alpha must be a finite number",
+             "alpha = abc-alpha must be a finite number", "synth = 10,2-synth takes n,d,low|high"],
     )
     def test_bad_value_is_usage_error_naming_the_option(
         self, tmp_path, capsys, caplog, line, message

@@ -81,6 +81,11 @@ class TestSingularValueProfile:
         steps = np.diff(s)
         np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
 
+    @pytest.mark.parametrize("mode", list(RankMode))
+    def test_single_column_rejected(self, mode):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            singular_value_profile(mode, 1)
+
 
 class TestSynthMatrix:
     def test_gram_normalized(self):
@@ -142,6 +147,25 @@ class TestLibsvmLoad:
         f.write_text("1 1:0.5 3:2.0\n-1 2:1.0\n", encoding="utf-8")
         m = libsvm_load(f)
         assert m.cols == 3
+
+    def test_zero_expected_features_rejected(self, tmp_path):
+        f = tmp_path / "tiny.txt"
+        f.write_text("1 1:0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected_features must be at least 1"):
+            libsvm_load(f, expected_features=0)
+
+    def test_bulk_count_mismatch_falls_back_to_token_parse(self, tmp_path, monkeypatch):
+        f = tmp_path / "tiny.txt"
+        f.write_text("1 1:0.5 3:2.0\n-1 2:1.0\n", encoding="utf-8")
+        real, calls = np.fromstring, []
+
+        def short_by_one(text, sep):
+            calls.append(text)
+            return real(text, sep=sep)[:-1]
+
+        monkeypatch.setattr(np, "fromstring", short_by_one)
+        assert libsvm_load(f).array.tolist() == [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]]
+        assert len(calls) == 1
 
     def test_label_only_line_is_zero_row(self, tmp_path):
         f = tmp_path / "zrow.txt"

@@ -11,7 +11,7 @@ import pytest
 
 from helpers import linf_norm, mc_mean_check, true_error
 from sketchguard import oracle, sketch
-from sketchguard.booterr import empirical_quantile
+from sketchguard.booterr import QuantileEstimate, empirical_quantile
 from sketchguard.cli import main, run_experiment
 from sketchguard.datagen import SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix, matmul_t
@@ -62,20 +62,46 @@ class TestTrueError:
 class TestQuantileCurveType:
     def test_requires_increasing_t(self):
         with pytest.raises(ValueError, match="increasing"):
-            QuantileCurve(0.1, (4, 4), (1.0, 0.5), (0.5, 0.5), (1.0, 1.0), 10, np.zeros((10, 2)))
+            QuantileCurve(0.1, (4, 4), np.zeros((10, 2)))
 
     def test_band_ordering(self):
-        with pytest.raises(ValueError, match="exceed"):
-            QuantileCurve(0.1, (2,), (1.0,), (2.0,), (1.0,), 10, np.zeros((10, 1)))
+        errors = np.random.default_rng(8).exponential(size=(25, 3))
+        curve = QuantileCurve(0.5, (2, 4, 8), errors)
+        for lo, q, hi in zip(curve.band_low, curve.values, curve.band_high):
+            assert lo <= q <= hi
 
     @pytest.mark.parametrize("field", ["values", "band_low", "band_high"])
     def test_fields_must_parallel_the_t_values(self, field):
-        fields = dict(alpha=0.1, ts=(2, 4), values=(1.0, 0.5), band_low=(0.5, 0.25),
-                      band_high=(1.5, 0.75), reps=10, errors=np.zeros((10, 2)))
-        QuantileCurve(**fields)
-        fields[field] = fields[field][:1]
-        with pytest.raises(ValueError, match="parallel"):
-            QuantileCurve(**fields)
+        assert len(getattr(QuantileCurve(0.1, (2, 4), np.zeros((10, 2))), field)) == 2
+        with pytest.raises(ValueError, match="one column per t"):
+            QuantileCurve(0.1, (2, 4), np.zeros((10, 1)))
+
+    def test_estimate_and_curve_report_quantiles_of_their_own_draws(self):
+        rng = np.random.default_rng(9)
+        samples = tuple(rng.exponential(size=15).tolist())
+        assert QuantileEstimate(4, 0.2, samples).value == empirical_quantile(samples, 0.8)
+        errors = rng.exponential(size=(12, 2))
+        curve = QuantileCurve(0.25, (3, 6), errors)
+        assert curve.reps == 12
+        for i, column in enumerate(errors.T):
+            assert curve.values[i] == empirical_quantile(column, 0.75)
+            assert curve.band_low[i] == empirical_quantile(column, 0.1)
+            assert curve.band_high[i] == empirical_quantile(column, 0.9)
+
+    @pytest.mark.parametrize(
+        "errors,message",
+        [
+            (np.zeros(2), "nonempty 2-D"),
+            (np.zeros((10, 2, 1)), "nonempty 2-D"),
+            (np.zeros((0, 2)), "nonempty 2-D"),
+            (np.full((10, 2), -1.0), "nonnegative"),
+            (np.full((10, 2), np.inf), "finite"),
+        ],
+        ids=["1-d", "3-d", "no-rows", "negative", "infinite"],
+    )
+    def test_rejects_invalid_errors(self, errors, message):
+        with pytest.raises(ValueError, match=message):
+            QuantileCurve(0.1, (2, 4), errors)
 
 
 class TestMcQuantileCurve:

@@ -11,7 +11,7 @@ import pytest
 
 from sketchguard import cli, oracle, parallel
 from sketchguard.cli import EXIT_NUMERIC, EXIT_USAGE, main
-from sketchguard.matcore import NonFiniteResultError
+from sketchguard.matcore import DenseMatrix, NonFiniteResultError
 from sketchguard.parallel import ENV_VAR, openblas_threads, run_indexed, thread_cap, thread_policy
 from sketchguard.rng import derive_seed
 from sketchguard.sketch import SketchKind
@@ -36,7 +36,7 @@ def blas_count():
 
 @pytest.mark.parametrize("raw,want", [("", 1), ("0", None), ("3", 3)])
 def test_thread_cap_values(monkeypatch, raw, want):
-    # SRHT draws stay serial by default: each holds an n x k signed copy of the data
+    # SRHT draws stay serial by default: pooled, they raised peak memory by 10-15%
     monkeypatch.setenv(ENV_VAR, raw)
     with thread_policy(SketchKind.SRHT):
         assert thread_cap() == (want if want is not None else usable_cores())
@@ -208,6 +208,24 @@ def test_default_workers_by_kind(monkeypatch, kind, pooled):
         assert threads == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("kind", list(SketchKind), ids=[k.value for k in SketchKind])
+def test_oracle_errors_do_not_depend_on_the_worker_count_over_random_shapes(monkeypatch, kind):
+    rng = np.random.default_rng(16)
+    shapes = []
+    for i in range(8):
+        n, d = int(rng.integers(17, 301)), int(rng.integers(2, 7))
+        grid = (int(rng.integers(1, n)), n, int(rng.integers(n + 1, 2 * n + 1)))
+        shapes.append((n, grid))
+        a = DenseMatrix(rng.standard_normal((n, d)))
+        b = a if i % 2 else DenseMatrix(rng.standard_normal((n, int(rng.integers(2, 7)))))
+        errors = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv(ENV_VAR, threads)
+            errors.append(oracle.mc_quantile_curve(a, b, kind, grid, 10, 0.1, i).errors)
+        assert errors[0].tobytes() == errors[1].tobytes(), (n, d, grid)
+    assert any(n & (n - 1) for n, _ in shapes)  # a non-power-of-two height is among them
+
+
 @pytest.mark.parametrize("raw,message", [
     ("abc", "SKETCHGUARD_THREADS must be an integer, got 'abc'"),
     ("-2", "SKETCHGUARD_THREADS must be nonnegative, got -2"),
@@ -223,3 +241,27 @@ def test_invalid_thread_cap_names_the_variable(monkeypatch, caplog, raw, message
     assert message in caplog.text
     # a command that pools nothing does not read the variable
     assert main(["plan", "--t0", "5", "--qhat", "0.2", "--epsilon", "0.05"]) == 0
+
+
+@pytest.fixture
+def fresh_openblas_lookup():
+    """Clear openblas_threads' cached lookup before and after the test."""
+    openblas_threads.cache_clear()
+    yield
+    openblas_threads.cache_clear()
+
+
+def test_openblas_lookup_is_none_when_the_library_cannot_load(monkeypatch, fresh_openblas_lookup):
+    def fail(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(parallel.ctypes, "CDLL", fail)
+    assert openblas_threads() is None
+
+
+def test_openblas_lookup_is_none_without_thread_symbols(monkeypatch, fresh_openblas_lookup):
+    monkeypatch.setattr(parallel.ctypes, "CDLL", lambda path: object())
+    assert openblas_threads() is None
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    with thread_policy(SketchKind.GAUSSIAN):
+        assert thread_cap() == 1
