@@ -91,6 +91,8 @@ class QuantileEstimate:
     def __post_init__(self):
         if self.t0 < 1:
             raise ValueError("t0 must be at least 1")
+        if not 0.0 < self.alpha < 0.5:
+            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
         object.__setattr__(self, "value", empirical_quantile(self.samples, 1.0 - self.alpha))
         if min(self.samples) < 0.0:
             raise ValueError("bootstrap samples are nonnegative")

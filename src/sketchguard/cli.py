@@ -144,7 +144,7 @@ def run_experiment(
     extrapolated bound covers, with no further draws; calibrated, it is
     about 1 - alpha. ``t0`` defaults to d/2 and ``t_grid`` to eight
     log-spaced points from d/2 to 10d. Writes no file: ``rows`` are the CSV's
-    rows. Runs under ``thread_policy`` for ``kind``.
+    rows. Runs under ``thread_policy``.
     """
     if not isinstance(matrix, DenseMatrix):
         raise SpecError("matrix must be a DenseMatrix")
@@ -162,7 +162,7 @@ def run_experiment(
         "experiment: %dx%d matrix, kind=%s, t0=%d, grid=%s",
         matrix.rows, d, sketch.kind.value, t0, list(grid),
     )
-    with thread_policy(sketch.kind):
+    with thread_policy():
         make_sampler = cache(partial(pair_sampler, matrix, matrix, sketch.kind))
         curve = mc_quantile_curve(
             matrix, matrix, sketch.kind, grid, oracle_reps, alpha,
@@ -504,8 +504,7 @@ def main(argv=None) -> int:
             raise SpecError("--out must name a file, got ''")
         if out and (Path(out).is_dir() or not os.access(Path(out).parent, os.W_OK)):
             raise OSError(f"cannot write {out}: not a file in an existing, writable directory")
-        pooled = args.command in ("experiment", "oracle")
-        with thread_policy(args.kind) if pooled else nullcontext():
+        with thread_policy() if args.command in ("experiment", "oracle") else nullcontext():
             return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code

@@ -44,6 +44,8 @@ class QuantileCurve:
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.ts, self.ts[1:])):
             raise ValueError("t values must be strictly increasing")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         errs = np.asarray(self.errors)
         if errs.ndim != 2 or errs.shape[1] != len(self.ts) or errs.size == 0:
             raise ValueError("errors must be a nonempty 2-D array with one column per t value")
@@ -103,7 +105,7 @@ def mc_quantile_curve(
     plus their 10% and 90% percentile bands. The quantile value sits inside
     the bands only when 1-alpha lies between 0.1 and 0.9. ``make_sampler()``,
     once A^T B is checked, gives the sampler, so a caller can share its factoring.
-    Runs under ``thread_policy`` for ``kind``.
+    Runs under ``thread_policy``.
     """
     if reps < 10:
         raise ValueError(f"need at least 10 realizations per t, got {reps}")
@@ -115,7 +117,7 @@ def mc_quantile_curve(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     t_max = grid[-1]
-    with thread_policy(kind):
+    with thread_policy():
         truth = matmul_t(a, b).array  # first, so an overflowing A^T B is what gets reported
         draw = make_sampler() if make_sampler is not None else pair_sampler(a, b, kind)
 

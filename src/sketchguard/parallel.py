@@ -1,18 +1,16 @@
 """Worker threads for independent, seed-indexed draws, and the BLAS threads beside them.
 
 ``thread_policy`` sets the worker count for one command or library run, and is the
-only reader of ``SKETCHGUARD_THREADS``: ``N`` means N workers for every sketch kind
-(``0`` one per usable core). Unset, the Monte-Carlo draws of the Gaussian, uniform
-and length kinds run on one worker per usable core, provided the OpenBLAS that numpy
-loaded exposes its thread-count functions. They are looked up once, with ``ctypes``,
-on the first run that needs them. Without them an unset variable means one worker,
-as it does for SRHT, which runs serially on OpenBLAS's own threads: pooling it
-raised the srht-libsvm benchmark's peak memory from 55-57 to 62-64 MB (10-15%) on
-a 2-core host. Whenever more than one worker runs, OpenBLAS is held to one
-thread for the whole run, data build included, because its spinning workers compete
-with the pool; the previous count is restored on every exit. Outside a policy one
-worker runs. Every work item draws from streams keyed by its index, so output is
-byte-identical at any setting.
+only reader of ``SKETCHGUARD_THREADS``: ``N`` means N workers (``0`` one per usable
+core). Unset, every sketch kind's draws run on one worker per usable core, provided
+the OpenBLAS that numpy loaded exposes its thread-count functions, looked up once
+with ``ctypes``; without them, on one. Whenever more than one worker runs, OpenBLAS
+is held to one thread for the whole run, data build included, because its spinning
+workers compete with the pool; the previous count is restored on every exit.
+Outside a policy one worker runs. Every work item draws from streams keyed by its
+index, so output is byte-identical at any setting. After each pool, glibc's
+``malloc_trim`` hands back what the helper threads freed, which their malloc arena
+would otherwise keep between runs.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ import os
 import threading
 from contextlib import contextmanager
 from functools import cache
-
-from .sketch import SketchKind
 
 ENV_VAR = "SKETCHGUARD_THREADS"
 
@@ -55,9 +51,7 @@ def _env_cap() -> int | None:
 
 
 def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @cache
@@ -82,9 +76,20 @@ def openblas_threads():
     return None
 
 
+@cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or a no-op where the C library has none (musl, macOS)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return lambda pad: 0
+    trim.restype, trim.argtypes = ctypes.c_int, [ctypes.c_size_t]
+    return trim
+
+
 @contextmanager
-def thread_policy(kind):
-    """Choose the worker count for a run whose pooled draws are of sketch ``kind``.
+def thread_policy():
+    """Choose the worker count for one run of seed-indexed draws.
 
     Holds OpenBLAS to one thread while more than one worker runs. A nested
     entry is a no-op.
@@ -93,10 +98,7 @@ def thread_policy(kind):
     if _workers is not None:
         yield
         return
-    workers = _env_cap()
-    if workers is None:
-        pooled = kind != SketchKind.SRHT and openblas_threads() is not None
-        workers = _usable_cores() if pooled else 1
+    workers = _env_cap() or (_usable_cores() if openblas_threads() is not None else 1)
     blas = openblas_threads() if workers > 1 else None
     if blas:
         saved = blas[0]()
@@ -149,6 +151,7 @@ def run_indexed(fn, count: int) -> list:
         stop.set()
         for h in helpers:
             h.join()
+        _malloc_trim()(0)  # hand the helpers' freed arena memory back
     if failed:
         raise failed[min(failed)]
     return results

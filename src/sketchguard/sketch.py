@@ -38,8 +38,7 @@ __all__ = [
 # larger operators are generated and applied in row blocks.
 MAX_MATERIALIZED_ENTRIES = 1 << 24
 
-# srht_sketch computes its stage-1 intermediate in blocks of at most this many
-# entries (at least one high part's block of n2 rows).
+# Entry cap on srht_sketch's chunks (at least one high part) and on its wider panels.
 MAX_SRHT_STAGE_ENTRIES = 1 << 17
 
 
@@ -205,10 +204,7 @@ def fwht_in_place(values: np.ndarray) -> np.ndarray:
 
 
 def _hadamard_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of the n x n Walsh-Hadamard matrix.
-
-    The matrix is symmetric, so its rows are the transforms of one-hot columns.
-    """
+    """Rows ``rows`` of the symmetric n x n Walsh-Hadamard matrix: one-hot columns' transforms."""
     onehot = np.zeros((n, rows.size))
     onehot[rows, np.arange(rows.size)] = 1.0
     return fwht_in_place(onehot).T
@@ -218,46 +214,54 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
     """Subsampled randomized Hadamard transform sketch of the pair.
 
     The operator is sqrt(n_pad / t) P H D / sqrt(n_pad) on the rows zero-padded
-    to the next power of two n_pad: D is a Rademacher diagonal drawn from
-    stream (seed, 0), H the Walsh-Hadamard matrix, and P keeps t rows sampled
-    uniformly with replacement from stream (seed, 1).
+    to the next power of two n_pad: D is a Rademacher diagonal read from stream
+    (seed, 0), of which only the first n signs meet data, H the Walsh-Hadamard
+    matrix, and P keeps t rows sampled uniformly with replacement from (seed, 1).
 
     Only the t kept rows of H D [A B] are computed. Row j = j1 n2 + j2 splits
     into high and low bits, n_pad = n1 n2 with n2 = 2^floor(log2(n_pad) / 2),
     so H = H_{n1} kron H_{n2}. Stage 1 multiplies the H_{n1} rows of the
     distinct high parts into the signed data, viewed as ceil(n / n2) blocks of
-    n2 rows; stage 2 multiplies each kept row's H_{n2} row into its high
-    part's block. Both are GEMMs, of O(k (min(t, n1) n + t n2)) flops for k
-    columns in all, and no padded n_pad-row array is formed. Stage 1 holds at
-    most MAX_SRHT_STAGE_ENTRIES entries, or one high part's n2 k, at a time.
+    n2 rows. Stage 2, one batched GEMM per chunk of parts, multiplies each
+    part's block by its kept rows' H_{n2} rows, zero-padded to the widest part.
+    That is O(k (min(t, n1) n + t n2)) flops for k columns, run in four column
+    panels (fewer if a wider one fits in MAX_SRHT_STAGE_ENTRIES): a draw holds
+    one panel's signed copy and one chunk's stage-1 result and stack.
     """
     spec = SketchSpec(SketchKind.SRHT, t, seed)
     n = check_same_rows(a, b)
     n_pad = 1 << (n - 1).bit_length()
-    signs = substream(seed, 0).integers(0, 2, n_pad) * 2 - 1
+    signs = substream(seed, 0).integers(0, 2, n) * 2 - 1
     idx = substream(seed, 1).integers(0, n_pad, t)
     n2 = 1 << ((n_pad.bit_length() - 1) // 2)
     blocks = -(-n // n2)
     highs, group = np.unique(idx // n2, return_inverse=True)
     lows, low_row = np.unique(idx % n2, return_inverse=True)
     h1 = _hadamard_rows(n_pad // n2, highs)[:, :blocks]
-    h2 = _hadamard_rows(n2, lows)
-    order = np.argsort(group, kind="stable")
-    starts = np.searchsorted(group[order], np.arange(highs.size + 1))
-    scale = (signs[:n] * (1.0 / math.sqrt(t)))[:, None]
+    h2 = np.vstack([_hadamard_rows(n2, lows), np.zeros(n2)])  # a zero row pads each part
+    rows = np.argsort(group, kind="stable")  # kept rows by high part
+    part = group[rows]
+    slot = np.arange(t) - np.searchsorted(part, part)
+    stacked = np.full((highs.size, slot.max() + 1), lows.size)  # each part's rows of h2
+    stacked[part, slot] = low_row[rows]
+    scale = (signs * (1.0 / math.sqrt(t)))[:, None]
 
     def kept(x: np.ndarray) -> np.ndarray:
         k = x.shape[1]
-        signed = np.zeros((blocks * n2, k))
-        np.multiply(x, scale, out=signed[:n])
-        signed = signed.reshape(blocks, n2 * k)
         out = np.empty((t, k))
-        step = max(1, MAX_SRHT_STAGE_ENTRIES // (n2 * k))
-        for lo in range(0, highs.size, step):
-            stage = h1[lo : lo + step] @ signed
-            for g in range(lo, min(lo + step, highs.size)):
-                rows = order[starts[g] : starts[g + 1]]
-                out[rows] = h2[low_row[rows]] @ stage[g - lo].reshape(n2, k)
+        panel = max(-(-k // 4), MAX_SRHT_STAGE_ENTRIES // (blocks * n2))
+        step = max(1, MAX_SRHT_STAGE_ENTRIES // (n2 * (panel + stacked.shape[1])))
+        buf = np.empty(blocks * n2 * panel)
+        for c in range(0, k, panel):
+            cols, kp = slice(c, c + panel), min(panel, k - c)
+            signed = buf[: blocks * n2 * kp].reshape(blocks * n2, kp)
+            signed[n:] = 0.0
+            np.multiply(x[:, cols], scale, out=signed[:n])
+            for lo in range(0, highs.size, step):
+                stage = (h1[lo : lo + step] @ signed.reshape(blocks, -1)).reshape(-1, n2, kp)
+                res = np.matmul(h2[stacked[lo : lo + step]], stage)
+                these = slice(*np.searchsorted(part, (lo, lo + step)))
+                out[rows[these], cols] = res[part[these] - lo, slot[these]]
         return out
 
     # A and B go through separate GEMMs of the same shapes, so equal inputs

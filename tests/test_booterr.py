@@ -396,6 +396,14 @@ class TestQuantileEstimateType:
         with pytest.raises(ValueError, match=message):
             QuantileEstimate(t0=t0, alpha=0.01, samples=samples)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 1.0, 1.5, -0.5, math.nan])
+    def test_alpha_outside_the_bootstrap_range_is_named(self, alpha):
+        # the range BootstrapConfig takes, checked before any quantile is taken
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1/2\), got "):
+            QuantileEstimate(4, alpha, (1.0, 2.0))
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1/2\), got "):
+            BootstrapConfig(BootstrapScheme.MULTIPLIER, 20, alpha, 0)
+
 
 class TestExtrapolation:
     def est(self, t0=100, value=0.4) -> QuantileEstimate:

@@ -103,6 +103,12 @@ class TestQuantileCurveType:
         with pytest.raises(ValueError, match=message):
             QuantileCurve(0.1, (2, 4), errors)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_alpha_outside_the_unit_interval_is_named(self, alpha):
+        # the range mc_quantile_curve takes, checked before any quantile is taken
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
+            QuantileCurve(alpha, (1, 2), np.ones((10, 2)))
+
 
 class TestMcQuantileCurve:
     def test_zero_matrix_curve_is_zero(self):

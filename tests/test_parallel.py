@@ -36,17 +36,19 @@ def blas_count():
 
 @pytest.mark.parametrize("raw,want", [("", 1), ("0", None), ("3", 3)])
 def test_thread_cap_values(monkeypatch, raw, want):
-    # SRHT draws stay serial by default: pooled, they raised peak memory by 10-15%
+    # an explicit count holds whether or not OpenBLAS's thread functions are found
+    monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
     monkeypatch.setenv(ENV_VAR, raw)
-    with thread_policy(SketchKind.SRHT):
+    with thread_policy():
         assert thread_cap() == (want if want is not None else usable_cores())
 
 
 def test_unset_thread_cap_is_one_worker(monkeypatch):
-    # outside a policy, and for SRHT
+    # outside a policy, and inside one that cannot hold OpenBLAS to one thread
     monkeypatch.delenv(ENV_VAR, raising=False)
     assert thread_cap() == 1
-    with thread_policy(SketchKind.SRHT):
+    monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
+    with thread_policy():
         assert thread_cap() == 1
 
 
@@ -59,22 +61,44 @@ def test_outside_a_policy_the_variable_is_not_read_and_items_run_serially(monkey
     assert thread_cap() == 1
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "uniform", "length"])
+def recording_sampler(monkeypatch):
+    """Make oracle.pair_sampler record (worker count, thread id) for every draw."""
+    real = oracle.pair_sampler
+    seen = []
+
+    def recording(a, b, kind):
+        draw = real(a, b, kind)
+
+        def recorded(t, s):
+            seen.append((thread_cap(), threading.get_ident()))
+            return draw(t, s)
+
+        return recorded
+
+    monkeypatch.setattr(oracle, "pair_sampler", recording)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "length", "srht"])
 def test_unset_thread_cap_is_one_worker_per_core_with_openblas(monkeypatch, kind):
+    # a library call enters the policy itself, with one rule for every kind
     monkeypatch.delenv(ENV_VAR, raising=False)
-    with thread_policy(kind):
-        assert thread_cap() == (usable_cores() if openblas_threads() else 1)
+    seen = recording_sampler(monkeypatch)
+    a = DenseMatrix(np.random.default_rng(0).standard_normal((33, 3)))
+    oracle.mc_quantile_curve(a, a, kind, [4], 10, 0.1, 0)
+    assert {cap for cap, _ in seen} == {usable_cores() if openblas_threads() else 1}
     assert thread_cap() == 1
     monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
-    with thread_policy(kind):
-        assert thread_cap() == 1  # no way to hold BLAS to one thread: stay serial
+    seen.clear()
+    oracle.mc_quantile_curve(a, a, kind, [4], 10, 0.1, 0)
+    assert set(seen) == {(1, threading.get_ident())}  # no way to hold BLAS to one thread
 
 
 def test_nested_policy_is_a_no_op(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "3")
-    with thread_policy(SketchKind.GAUSSIAN):
+    with thread_policy():
         monkeypatch.setenv(ENV_VAR, "1")
-        with thread_policy(SketchKind.SRHT):
+        with thread_policy():
             assert thread_cap() == 3
         assert thread_cap() == 3
     assert thread_cap() == 1
@@ -121,7 +145,7 @@ def test_pool_raises_the_lowest_index_failure(monkeypatch):
             raise ValueError(f"item {i}")
         return i * i
 
-    with thread_policy(SketchKind.GAUSSIAN):
+    with thread_policy():
         assert thread_cap() == 2
         with pytest.raises(ValueError, match="^item 3$"):
             run_indexed(fn, 20)
@@ -140,7 +164,7 @@ def test_pool_runs_each_item_once_under_fast_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with thread_policy(SketchKind.GAUSSIAN):
+        with thread_policy():
             caller = threading.Thread(target=lambda: out.append(run_indexed(fn, 2000)))
             caller.start()
             caller.join(timeout=60)
@@ -183,29 +207,21 @@ def test_pool_failure_has_the_serial_exit_code_and_message(monkeypatch, caplog):
     assert logged[1] == logged[2] == logged[0]
 
 
-@pytest.mark.parametrize("kind,pooled", [("srht", False), ("gaussian", True)])
-def test_default_workers_by_kind(monkeypatch, kind, pooled):
+@pytest.mark.parametrize(
+    "kind,blas_found", [("srht", False), ("gaussian", True), ("srht", True), ("gaussian", False)]
+)
+def test_default_workers_by_kind(monkeypatch, kind, blas_found):
+    # the kind does not matter: unset means one worker per core when BLAS can be held
     monkeypatch.delenv(ENV_VAR, raising=False)
-    real = oracle.pair_sampler
-    caps, threads = set(), set()
-
-    def recording(a, b, k):
-        draw = real(a, b, k)
-
-        def recorded(t, s):
-            caps.add(thread_cap())
-            threads.add(threading.get_ident())
-            return draw(t, s)
-
-        return recorded
-
-    monkeypatch.setattr(oracle, "pair_sampler", recording)
+    if not blas_found:
+        monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
+    seen = recording_sampler(monkeypatch)
     argv = ["oracle", "--synth", "257,4,high", "--kind", kind, "--t-grid", "4,8", "--reps", "40"]
     assert main(argv) == 0
-    want = usable_cores() if pooled and openblas_threads() else 1
-    assert caps == {want}
+    want = usable_cores() if parallel.openblas_threads() else 1
+    assert {cap for cap, _ in seen} == {want}
     if want == 1:
-        assert threads == {threading.get_ident()}
+        assert {thread for _, thread in seen} == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("kind", list(SketchKind), ids=[k.value for k in SketchKind])
@@ -233,7 +249,7 @@ def test_oracle_errors_do_not_depend_on_the_worker_count_over_random_shapes(monk
 def test_invalid_thread_cap_names_the_variable(monkeypatch, caplog, raw, message):
     monkeypatch.setenv(ENV_VAR, raw)
     with pytest.raises(ValueError) as info:
-        with thread_policy(SketchKind.SRHT):
+        with thread_policy():
             pass
     assert str(info.value) == message
     argv = ["oracle", "--synth", "64,4,high", "--kind", "srht", "--t-grid", "4", "--reps", "10"]
@@ -245,10 +261,12 @@ def test_invalid_thread_cap_names_the_variable(monkeypatch, caplog, raw, message
 
 @pytest.fixture
 def fresh_openblas_lookup():
-    """Clear openblas_threads' cached lookup before and after the test."""
-    openblas_threads.cache_clear()
+    """Clear the cached library lookups before and after the test."""
+    for lookup in (openblas_threads, parallel._malloc_trim):
+        lookup.cache_clear()
     yield
-    openblas_threads.cache_clear()
+    for lookup in (openblas_threads, parallel._malloc_trim):
+        lookup.cache_clear()
 
 
 def test_openblas_lookup_is_none_when_the_library_cannot_load(monkeypatch, fresh_openblas_lookup):
@@ -263,5 +281,27 @@ def test_openblas_lookup_is_none_without_thread_symbols(monkeypatch, fresh_openb
     monkeypatch.setattr(parallel.ctypes, "CDLL", lambda path: object())
     assert openblas_threads() is None
     monkeypatch.delenv(ENV_VAR, raising=False)
-    with thread_policy(SketchKind.GAUSSIAN):
+    with thread_policy():
         assert thread_cap() == 1
+
+
+def test_pool_runs_without_malloc_trim(monkeypatch, fresh_openblas_lookup):
+    # musl and macOS have no malloc_trim: the lookup fails and trimming is a no-op
+    monkeypatch.setattr(parallel.ctypes, "CDLL", lambda path: object())
+    monkeypatch.setenv(ENV_VAR, "2")
+    with thread_policy():
+        assert run_indexed(lambda i: i * i, 50) == [i * i for i in range(50)]
+    assert parallel._malloc_trim()(0) == 0
+
+
+def test_pooled_runs_hand_freed_memory_back(monkeypatch):
+    trims = []
+    monkeypatch.setattr(parallel, "_malloc_trim", lambda: trims.append)
+    monkeypatch.setenv(ENV_VAR, "2")
+    with thread_policy():
+        run_indexed(lambda i: np.ones(1 << 16).sum(), 8)
+        assert trims == [0]
+        run_indexed(lambda i: i, 1)  # one item: no helper ran
+    assert trims == [0]
+    run_indexed(lambda i: i, 8)  # outside a policy: serial
+    assert trims == [0]

@@ -1,6 +1,7 @@
 """Sketching operator tests: determinism, unbiasedness, and fast-path exactness."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,6 +339,50 @@ class TestPrunedSRHT:
         for got, x in ((pair.a_sketch.array, a), (pair.b_sketch.array, b)):
             want = butterfly_srht(x, t, 12)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [5, 1000, 3000, 8193, 16385])
+    def test_signs_are_a_prefix_of_the_padded_draw(self, n):
+        # srht_sketch draws n signs: the first n of the n_pad that D has
+        n_pad = 1 << (n - 1).bit_length()
+        for seed in (0, 7, 2**64 - 1):
+            short = substream(seed, 0).integers(0, 2, n)
+            assert np.array_equal(short, substream(seed, 0).integers(0, 2, n_pad)[:n])
+
+    @pytest.mark.parametrize("cap", [None, 1], ids=["default-blocking", "four-panels"])
+    def test_matches_explicit_operator_over_random_shapes(self, monkeypatch, cap):
+        # heights 2^j + 1 and others; column counts that split into uneven panels
+        # (at the least cap, one high part at a time); t from 1 to past n1, so high
+        # parts keep several rows each
+        if cap is not None:
+            monkeypatch.setattr(sketch, "MAX_SRHT_STAGE_ENTRIES", cap)
+        rng = np.random.default_rng(17)
+        for i in range(16):
+            n = 2 ** int(rng.integers(0, 10)) + 1 if i % 2 else int(rng.integers(2, 1000))
+            n_pad = 1 << (n - 1).bit_length()
+            n1 = n_pad >> ((n_pad.bit_length() - 1) // 2)
+            t = int(rng.integers(1, 4 * n1 + 2))
+            k_a, k_b = (int(k) for k in rng.choice([1, 13, 37, 112], 2))
+            a, b = rng.standard_normal((n, k_a)), rng.standard_normal((n, k_b))
+            seed = int(rng.integers(2**63))
+            pair = srht_sketch(DenseMatrix(a), DenseMatrix(b), t, seed)
+            for got, x in ((pair.a_sketch.array, a), (pair.b_sketch.array, b)):
+                want = explicit_srht_apply(x, t, seed)
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (n, t)
+            twins = srht_sketch(DenseMatrix(a), DenseMatrix(a.copy()), t, seed)
+            assert np.array_equal(twins.a_sketch.array, twins.b_sketch.array), (n, k_a, t)
+            assert np.array_equal(twins.a_sketch.array, pair.a_sketch.array), (n, k_a, t)
+
+    def test_a_draw_holds_less_than_its_data(self):
+        # the srht-libsvm benchmark's largest draw: 8193 x 64 at t = 640
+        n, k = 8193, 64
+        a = DenseMatrix(np.random.default_rng(5).standard_normal((n, k)))
+        tracemalloc.start()
+        try:
+            srht_sketch(a, a, 640, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 8
 
     def test_stage_blocking_does_not_change_the_sketch(self, monkeypatch):
         from sketchguard import sketch
