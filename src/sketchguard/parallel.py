@@ -2,15 +2,12 @@
 
 ``thread_policy`` sets the worker count for one command or library run, and is the
 only reader of ``SKETCHGUARD_THREADS``: ``N`` means N workers (``0`` one per usable
-core). Unset, every sketch kind's draws run on one worker per usable core, provided
-the OpenBLAS that numpy loaded exposes its thread-count functions, looked up once
-with ``ctypes``; without them, on one. Whenever more than one worker runs, OpenBLAS
-is held to one thread for the whole run, data build included, because its spinning
-workers compete with the pool; the previous count is restored on every exit.
-Outside a policy one worker runs. Every work item draws from streams keyed by its
-index, so output is byte-identical at any setting. After each pool, glibc's
-``malloc_trim`` hands back what the helper threads freed, which their malloc arena
-would otherwise keep between runs.
+core); unset, one per usable core for every sketch kind if numpy's OpenBLAS exposes
+its thread-count functions (looked up once with ``ctypes``), else one. With more than
+one worker, OpenBLAS runs on one thread for the whole run, data build included, as its
+spinning workers compete with the pool. Items draw from streams keyed by their index,
+so output is byte-identical at any setting. After each pool, glibc's ``malloc_trim``
+hands back what the helpers freed into their own arena, which would keep it.
 """
 
 from __future__ import annotations
@@ -51,7 +48,9 @@ def _env_cap() -> int | None:
 
 
 def _usable_cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @cache
@@ -91,8 +90,8 @@ def _malloc_trim():
 def thread_policy():
     """Choose the worker count for one run of seed-indexed draws.
 
-    Holds OpenBLAS to one thread while more than one worker runs. A nested
-    entry is a no-op.
+    Holds OpenBLAS to one thread while more than one worker runs, restoring its
+    count on every exit. A nested entry is a no-op; outside any, one worker runs.
     """
     global _workers
     if _workers is not None:

@@ -204,7 +204,10 @@ def fwht_in_place(values: np.ndarray) -> np.ndarray:
 
 
 def _hadamard_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of the symmetric n x n Walsh-Hadamard matrix: one-hot columns' transforms."""
+    """Rows ``rows`` of the n x n Walsh-Hadamard matrix.
+
+    The matrix is symmetric, so its rows are the transforms of one-hot columns.
+    """
     onehot = np.zeros((n, rows.size))
     onehot[rows, np.arange(rows.size)] = 1.0
     return fwht_in_place(onehot).T
@@ -218,15 +221,14 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
     (seed, 0), of which only the first n signs meet data, H the Walsh-Hadamard
     matrix, and P keeps t rows sampled uniformly with replacement from (seed, 1).
 
-    Only the t kept rows of H D [A B] are computed. Row j = j1 n2 + j2 splits
-    into high and low bits, n_pad = n1 n2 with n2 = 2^floor(log2(n_pad) / 2),
-    so H = H_{n1} kron H_{n2}. Stage 1 multiplies the H_{n1} rows of the
-    distinct high parts into the signed data, viewed as ceil(n / n2) blocks of
-    n2 rows. Stage 2, one batched GEMM per chunk of parts, multiplies each
-    part's block by its kept rows' H_{n2} rows, zero-padded to the widest part.
-    That is O(k (min(t, n1) n + t n2)) flops for k columns, run in four column
-    panels (fewer if a wider one fits in MAX_SRHT_STAGE_ENTRIES): a draw holds
-    one panel's signed copy and one chunk's stage-1 result and stack.
+    Only the t kept rows of H D [A B] are computed: with n_pad = n1 n2 and
+    n2 = 2^floor(log2(n_pad) / 2), H = H_{n1} kron H_{n2} on row j = j1 n2 + j2.
+    Stage 1 multiplies the H_{n1} rows of the distinct high parts j1 into the
+    signed data, as ceil(n / n2) blocks of n2 rows. Stage 2, one batched GEMM
+    per chunk of parts, multiplies each part's block by its kept rows' H_{n2}
+    rows, zero-padded to the widest part: O(k (min(t, n1) n + t n2)) flops for
+    k columns in all, run in up to four column panels. A draw holds one panel's
+    signed copy and one chunk's stage-1 result and stack.
     """
     spec = SketchSpec(SketchKind.SRHT, t, seed)
     n = check_same_rows(a, b)
@@ -249,19 +251,18 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
     def kept(x: np.ndarray) -> np.ndarray:
         k = x.shape[1]
         out = np.empty((t, k))
-        panel = max(-(-k // 4), MAX_SRHT_STAGE_ENTRIES // (blocks * n2))
+        panel = min(k, max(-(-k // 4), MAX_SRHT_STAGE_ENTRIES // (blocks * n2)))
         step = max(1, MAX_SRHT_STAGE_ENTRIES // (n2 * (panel + stacked.shape[1])))
-        buf = np.empty(blocks * n2 * panel)
+        signed = np.empty((blocks * n2, panel))  # a narrower last panel leaves columns unused
+        signed[n:] = 0.0
         for c in range(0, k, panel):
             cols, kp = slice(c, c + panel), min(panel, k - c)
-            signed = buf[: blocks * n2 * kp].reshape(blocks * n2, kp)
-            signed[n:] = 0.0
-            np.multiply(x[:, cols], scale, out=signed[:n])
+            np.multiply(x[:, cols], scale, out=signed[:n, :kp])
             for lo in range(0, highs.size, step):
-                stage = (h1[lo : lo + step] @ signed.reshape(blocks, -1)).reshape(-1, n2, kp)
+                stage = (h1[lo : lo + step] @ signed.reshape(blocks, -1)).reshape(-1, n2, panel)
                 res = np.matmul(h2[stacked[lo : lo + step]], stage)
                 these = slice(*np.searchsorted(part, (lo, lo + step)))
-                out[rows[these], cols] = res[part[these] - lo, slot[these]]
+                out[rows[these], cols] = res[part[these] - lo, slot[these], :kp]
         return out
 
     # A and B go through separate GEMMs of the same shapes, so equal inputs
