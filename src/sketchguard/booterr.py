@@ -94,6 +94,7 @@ class QuantileEstimate:
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
         object.__setattr__(self, "value", empirical_quantile(self.samples, 1.0 - self.alpha))
+        object.__setattr__(self, "samples", tuple(np.asarray(self.samples, np.float64).tolist()))
         if min(self.samples) < 0.0:
             raise ValueError("bootstrap samples are nonnegative")
 
@@ -167,7 +168,7 @@ def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstima
                 pair, _weights(cfg.scheme, gen, stop - start, t)
             )
     check_finite_result(samples, "a bootstrap sample")
-    return QuantileEstimate(t0=t, alpha=cfg.alpha, samples=tuple(samples.tolist()))
+    return QuantileEstimate(t0=t, alpha=cfg.alpha, samples=samples)
 
 
 def extrapolate(est: QuantileEstimate, t: int) -> float:

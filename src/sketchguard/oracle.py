@@ -46,7 +46,9 @@ class QuantileCurve:
             raise ValueError("t values must be strictly increasing")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        errs = np.asarray(self.errors)
+        errs = np.array(self.errors, dtype=np.float64)  # a read-only copy, so callers keep theirs
+        errs.flags.writeable = False
+        object.__setattr__(self, "errors", errs)
         if errs.ndim != 2 or errs.shape[1] != len(self.ts) or errs.size == 0:
             raise ValueError("errors must be a nonempty 2-D array with one column per t value")
         if (errs < 0).any():

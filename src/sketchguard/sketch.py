@@ -183,13 +183,15 @@ def row_sample_sketch(
 
 
 def fwht_in_place(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along axis 0, in place.
+    """Unnormalized Walsh-Hadamard transform along axis 0 of a numpy array, in place.
 
-    Length (axis 0) must be a power of two. 2-D input is transformed
-    column-wise. Runs the usual butterfly passes, log2(n) of them, each a
-    full pass over the data. Returns the transformed array.
+    Length (axis 0) must be a power of two. 2-D input is transformed column-wise by
+    log2(n) butterfly passes over the data, or over a C-contiguous copy that is then
+    written back. Returns ``values``.
     """
-    a = np.asarray(values)
+    if not isinstance(values, np.ndarray) or values.ndim == 0:
+        raise TypeError(f"fwht_in_place needs a numpy array with an axis 0, got {values!r}")
+    a = np.ascontiguousarray(values)
     n = a.shape[0]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
@@ -200,17 +202,16 @@ def fwht_in_place(values: np.ndarray) -> np.ndarray:
         view[:, 0] += view[:, 1]
         view[:, 1] = upper - view[:, 1]
         half *= 2
+    values[...] = a  # a no-op when a is values
     return values
 
 
 def _hadamard_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of the n x n Walsh-Hadamard matrix.
-
-    The matrix is symmetric, so its rows are the transforms of one-hot columns.
-    """
-    onehot = np.zeros((n, rows.size))
-    onehot[rows, np.arange(rows.size)] = 1.0
-    return fwht_in_place(onehot).T
+    """Rows ``rows`` of the n x n Walsh-Hadamard matrix: entry (i, j) is (-1)^popcount(i & j)."""
+    parity = np.arange(n)
+    for shift in (32, 16, 8, 4, 2, 1):  # m's bit parity into bit 0; bitwise_count needs numpy 2
+        parity ^= parity >> shift
+    return (1.0 - 2.0 * (parity & 1))[rows[:, None] & np.arange(n)]
 
 
 def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair:
@@ -226,9 +227,10 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
     Stage 1 multiplies the H_{n1} rows of the distinct high parts j1 into the
     signed data, as ceil(n / n2) blocks of n2 rows. Stage 2, one batched GEMM
     per chunk of parts, multiplies each part's block by its kept rows' H_{n2}
-    rows, zero-padded to the widest part: O(k (min(t, n1) n + t n2)) flops for
-    k columns in all, run in up to four column panels. A draw holds one panel's
-    signed copy and one chunk's stage-1 result and stack.
+    rows, gathered once per chunk and zero-padded to its widest part, the first
+    in an order by kept-row count: O(k (min(t, n1) n + t n2)) flops for k columns,
+    run in up to four column panels. A draw holds the stacks, one panel's signed
+    copy and one chunk's stage-1 result.
     """
     spec = SketchSpec(SketchKind.SRHT, t, seed)
     n = check_same_rows(a, b)
@@ -237,14 +239,16 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
     idx = substream(seed, 1).integers(0, n_pad, t)
     n2 = 1 << ((n_pad.bit_length() - 1) // 2)
     blocks = -(-n // n2)
-    highs, group = np.unique(idx // n2, return_inverse=True)
+    highs, group, width = np.unique(idx // n2, return_inverse=True, return_counts=True)
+    order = np.argsort(-width, kind="stable")  # high parts by kept-row count, largest first
+    group, width = np.argsort(order)[group], width[order]
     lows, low_row = np.unique(idx % n2, return_inverse=True)
-    h1 = _hadamard_rows(n_pad // n2, highs)[:, :blocks]
+    h1 = _hadamard_rows(n_pad // n2, highs[order])[:, :blocks]
     h2 = np.vstack([_hadamard_rows(n2, lows), np.zeros(n2)])  # a zero row pads each part
     rows = np.argsort(group, kind="stable")  # kept rows by high part
     part = group[rows]
     slot = np.arange(t) - np.searchsorted(part, part)
-    stacked = np.full((highs.size, slot.max() + 1), lows.size)  # each part's rows of h2
+    stacked = np.full((highs.size, width[0]), lows.size)  # each part's rows of h2
     stacked[part, slot] = low_row[rows]
     scale = (signs * (1.0 / math.sqrt(t)))[:, None]
 
@@ -253,14 +257,15 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
         out = np.empty((t, k))
         panel = min(k, max(-(-k // 4), MAX_SRHT_STAGE_ENTRIES // (blocks * n2)))
         step = max(1, MAX_SRHT_STAGE_ENTRIES // (n2 * (panel + stacked.shape[1])))
+        stage2 = [h2[stacked[lo : lo + step, : width[lo]]] for lo in range(0, highs.size, step)]
         signed = np.empty((blocks * n2, panel))  # a narrower last panel leaves columns unused
         signed[n:] = 0.0
         for c in range(0, k, panel):
             cols, kp = slice(c, c + panel), min(panel, k - c)
             np.multiply(x[:, cols], scale, out=signed[:n, :kp])
-            for lo in range(0, highs.size, step):
+            for lo, stack in zip(range(0, highs.size, step), stage2):
                 stage = (h1[lo : lo + step] @ signed.reshape(blocks, -1)).reshape(-1, n2, panel)
-                res = np.matmul(h2[stacked[lo : lo + step]], stage)
+                res = np.matmul(stack, stage)
                 these = slice(*np.searchsorted(part, (lo, lo + step)))
                 out[rows[these], cols] = res[part[these] - lo, slot[these], :kp]
         return out

@@ -396,6 +396,16 @@ class TestQuantileEstimateType:
         with pytest.raises(ValueError, match=message):
             QuantileEstimate(t0=t0, alpha=0.01, samples=samples)
 
+    @pytest.mark.parametrize("samples", [np.array([1.0, 2.0, 0.5]), [1, 2, 0.5],
+                                         np.array([1, 2, 0.5], dtype=np.float32)],
+                             ids=["array", "list", "float32"])
+    def test_samples_are_kept_as_a_tuple_of_floats(self, samples):
+        est = QuantileEstimate(4, 0.1, samples)
+        assert est.samples == (1.0, 2.0, 0.5)
+        assert all(type(s) is float for s in est.samples)
+        twin = QuantileEstimate(4, 0.1, (1.0, 2.0, 0.5))
+        assert est == twin and hash(est) == hash(twin)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 1.0, 1.5, -0.5, math.nan])
     def test_alpha_outside_the_bootstrap_range_is_named(self, alpha):
         # the range BootstrapConfig takes, checked before any quantile is taken

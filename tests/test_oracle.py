@@ -103,6 +103,17 @@ class TestQuantileCurveType:
         with pytest.raises(ValueError, match=message):
             QuantileCurve(0.1, (2, 4), errors)
 
+    def test_errors_are_kept_as_a_read_only_float64_copy(self):
+        rows = [[0, 1], [2, 3], [4, 5]]
+        curve = QuantileCurve(0.1, (2, 4), errors=rows)
+        assert curve.reps == 3
+        assert curve.errors.dtype == np.float64 and not curve.errors.flags.writeable
+        assert np.array_equal(curve.errors, rows)
+        mine = np.array(rows, dtype=np.float64)
+        same = QuantileCurve(0.1, (2, 4), mine)
+        mine[0, 0] = 7.0  # the caller's array stays writeable, and the curve does not see it
+        assert same.errors[0, 0] == 0.0 and same == curve and hash(same) == hash(curve)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, math.nan])
     def test_alpha_outside_the_unit_interval_is_named(self, alpha):
         # the range mc_quantile_curve takes, checked before any quantile is taken

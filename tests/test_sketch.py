@@ -254,6 +254,29 @@ class TestFWHT:
         got = fwht_in_place(m.copy())
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("values", [[1.0, 2.0], (1.0, 2.0), np.float64(3.0), np.array(3.0)],
+                             ids=["list", "tuple", "numpy-scalar", "0-d-array"])
+    def test_rejects_what_it_cannot_transform_in_place(self, values):
+        # a list or a scalar has no axis 0 to update; the transform must not pass it back untouched
+        with pytest.raises(TypeError):
+            fwht_in_place(values)
+
+    VIEWS = {
+        "column-strided": lambda m: m[:, ::2],
+        "reversed-rows": lambda m: m[::-1, 1:],
+        "fortran-strided": lambda m: np.asfortranarray(m)[:, ::3],
+        "one-column": lambda m: m[:, 5],
+    }
+
+    @pytest.mark.parametrize("view", VIEWS.values(), ids=VIEWS.keys())
+    def test_transforms_strided_views_in_place(self, view):
+        # each view shares the memory of a larger array, so the result must land there
+        m = np.random.default_rng(9).standard_normal((16, 6))
+        v = view(m)
+        want = hadamard(16) @ v
+        assert fwht_in_place(v) is v
+        np.testing.assert_allclose(v, want, atol=1e-12)
+
 
 class TestSRHT:
     def test_single_row_exactness(self):
@@ -394,21 +417,15 @@ class TestPrunedSRHT:
         np.testing.assert_allclose(one_high_part_at_a_time, whole, rtol=0, atol=1e-12)
         np.testing.assert_allclose(whole, butterfly_srht(a.array, 200, 4), rtol=0, atol=1e-12)
 
-    def test_fwht_builds_the_hadamard_rows(self, monkeypatch):
-        # one source of Hadamard entries: the SRHT path transforms one-hot columns
-        from sketchguard import sketch
-
-        calls = []
-        real = sketch.fwht_in_place
-
-        def counted(values):
-            calls.append(values.shape)
-            return real(values)
-
-        monkeypatch.setattr(sketch, "fwht_in_place", counted)
-        srht_sketch(DenseMatrix(np.ones((8193, 2))), DenseMatrix(np.ones((8193, 2))), 9, 0)
-        assert len(calls) == 2
-        assert sorted(shape[0] for shape in calls) == [128, 128]
+    @pytest.mark.parametrize("n", [1, 2, 4, 64, 128, 1024])
+    def test_hadamard_rows_are_the_explicit_matrix_rows(self, n):
+        # closed form (-1)^popcount(i & j), against the doubling recursion; rows unsorted
+        # and repeated, as np.unique's outputs never are
+        rows = np.random.default_rng(n).integers(0, n, 2 * n + 3)
+        got = sketch._hadamard_rows(n, rows)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, hadamard(n)[rows])
+        assert np.array_equal(sketch._hadamard_rows(n, np.arange(n)[::-1]), hadamard(n)[::-1])
 
     def test_experiment_csv_does_not_depend_on_thread_count(self, tmp_path, monkeypatch):
         from sketchguard.cli import main
@@ -420,6 +437,18 @@ class TestPrunedSRHT:
         monkeypatch.setenv("SKETCHGUARD_THREADS", "2")
         assert main(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+    def test_multi_panel_experiment_csv_does_not_depend_on_thread_count(self, tmp_path,
+                                                                        monkeypatch):
+        # at 8193 x 64 each draw runs four column panels and, at t = 640, several chunks
+        from sketchguard.cli import main
+
+        argv = ["experiment", "--synth", "8193,64,high", "--kind", "srht", "--oracle-reps", "20",
+                "--reps", "10", "--seed", "1"]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SKETCHGUARD_THREADS", threads)
+            assert main(argv + ["--out", str(tmp_path / f"{threads}.csv")]) == 0
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
 class TestNonFiniteSketches:
