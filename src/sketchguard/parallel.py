@@ -6,8 +6,7 @@ core); unset, one per usable core for every sketch kind if numpy's OpenBLAS expo
 its thread-count functions (looked up once with ``ctypes``), else one. With more than
 one worker, OpenBLAS runs on one thread for the whole run, data build included, as its
 spinning workers compete with the pool. Items draw from streams keyed by their index,
-so output is byte-identical at any setting. After each pool, glibc's ``malloc_trim``
-hands back what the helpers freed into their own arena, which would keep it.
+so output is byte-identical at any setting.
 """
 
 from __future__ import annotations
@@ -75,17 +74,6 @@ def openblas_threads():
     return None
 
 
-@cache
-def _malloc_trim():
-    """glibc's ``malloc_trim``, or a no-op where the C library has none (musl, macOS)."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError, TypeError):
-        return lambda pad: 0
-    trim.restype, trim.argtypes = ctypes.c_int, [ctypes.c_size_t]
-    return trim
-
-
 @contextmanager
 def thread_policy():
     """Choose the worker count for one run of seed-indexed draws.
@@ -121,12 +109,10 @@ def run_indexed(fn, count: int) -> list:
 
     Work items must be independent and seed-indexed, so the schedule cannot
     affect the output. The calling thread works beside ``thread_cap() - 1``
-    helpers, taking items in index order. After an item fails no new item is
-    started, and the lowest-index failure is raised, as a serial run would.
+    helpers, at most one per further item, taking items in index order. After
+    an item fails no new item is started, and the lowest-index failure is
+    raised, as a serial run would.
     """
-    workers = min(thread_cap(), count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
     results = [None] * count
     failed = {}
     claim = itertools.count()
@@ -141,7 +127,7 @@ def run_indexed(fn, count: int) -> list:
                 failed[i] = exc
                 stop.set()
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(thread_cap(), count) - 1)]
     for h in helpers:
         h.start()
     try:
@@ -150,7 +136,6 @@ def run_indexed(fn, count: int) -> list:
         stop.set()
         for h in helpers:
             h.join()
-        _malloc_trim()(0)  # hand the helpers' freed arena memory back
     if failed:
         raise failed[min(failed)]
     return results

@@ -229,8 +229,8 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
     per chunk of parts, multiplies each part's block by its kept rows' H_{n2}
     rows, gathered once per chunk and zero-padded to its widest part, the first
     in an order by kept-row count: O(k (min(t, n1) n + t n2)) flops for k columns,
-    run in up to four column panels. A draw holds the stacks, one panel's signed
-    copy and one chunk's stage-1 result.
+    run in up to four column panels. A draw holds each chunk's stack and scatter
+    indices, built before the panels, one panel's signed copy and one chunk's stage-1 result.
     """
     spec = SketchSpec(SketchKind.SRHT, t, seed)
     n = check_same_rows(a, b)
@@ -257,17 +257,20 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
         out = np.empty((t, k))
         panel = min(k, max(-(-k // 4), MAX_SRHT_STAGE_ENTRIES // (blocks * n2)))
         step = max(1, MAX_SRHT_STAGE_ENTRIES // (n2 * (panel + stacked.shape[1])))
-        stage2 = [h2[stacked[lo : lo + step, : width[lo]]] for lo in range(0, highs.size, step)]
-        signed = np.empty((blocks * n2, panel))  # a narrower last panel leaves columns unused
-        signed[n:] = 0.0
+        chunks = []  # per chunk: H_{n1} rows, H_{n2} stack, output rows, flat cells of its result
+        for lo in range(0, highs.size, step):
+            these = slice(*np.searchsorted(part, (lo, lo + step)))
+            stack = h2[stacked[lo : lo + step, : width[lo]]]
+            cells = (part[these] - lo) * width[lo] + slot[these]
+            chunks.append((h1[lo : lo + step], stack, rows[these], cells))
+        signed = np.zeros((blocks * n2, panel))  # a narrower last panel leaves columns unused
         for c in range(0, k, panel):
             cols, kp = slice(c, c + panel), min(panel, k - c)
-            np.multiply(x[:, cols], scale, out=signed[:n, :kp])
-            for lo, stack in zip(range(0, highs.size, step), stage2):
-                stage = (h1[lo : lo + step] @ signed.reshape(blocks, -1)).reshape(-1, n2, panel)
-                res = np.matmul(stack, stage)
-                these = slice(*np.searchsorted(part, (lo, lo + step)))
-                out[rows[these], cols] = res[part[these] - lo, slot[these], :kp]
+            signed[:n, :kp] = x[:, cols]  # copy, then scale: faster than a product from strided x
+            signed[:n, :kp] *= scale
+            for h1_rows, stack, dest, cells in chunks:
+                stage = (h1_rows @ signed.reshape(blocks, -1)).reshape(-1, n2, panel)
+                out[dest, cols] = np.matmul(stack, stage).reshape(-1, panel)[cells, :kp]
         return out
 
     # A and B go through separate GEMMs of the same shapes, so equal inputs

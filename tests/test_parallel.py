@@ -135,20 +135,25 @@ def test_blas_held_to_one_thread_from_data_build_and_restored(
     assert blas_count() == 2
 
 
-def test_pool_raises_the_lowest_index_failure(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "2")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pool_raises_the_lowest_index_failure(monkeypatch, threads):
+    monkeypatch.setenv(ENV_VAR, threads)
+    started = []
 
     def fn(i):
+        started.append((i, threading.get_ident()))
         if i == 3:
-            time.sleep(0.05)  # item 7 fails first in time
+            time.sleep(0.05)  # pooled, item 7 fails first in time
         if i in (3, 7):
             raise ValueError(f"item {i}")
         return i * i
 
     with thread_policy():
-        assert thread_cap() == 2
+        assert thread_cap() == int(threads)
         with pytest.raises(ValueError, match="^item 3$"):
             run_indexed(fn, 20)
+        if threads == "1":  # all on the calling thread, and nothing after the failure
+            assert started == [(i, threading.get_ident()) for i in range(4)]
         assert run_indexed(lambda i: i * i, 20) == [i * i for i in range(20)]
 
 
@@ -261,12 +266,10 @@ def test_invalid_thread_cap_names_the_variable(monkeypatch, caplog, raw, message
 
 @pytest.fixture
 def fresh_openblas_lookup():
-    """Clear the cached library lookups before and after the test."""
-    for lookup in (openblas_threads, parallel._malloc_trim):
-        lookup.cache_clear()
+    """Clear the cached OpenBLAS lookup before and after the test."""
+    openblas_threads.cache_clear()
     yield
-    for lookup in (openblas_threads, parallel._malloc_trim):
-        lookup.cache_clear()
+    openblas_threads.cache_clear()
 
 
 def test_openblas_lookup_is_none_when_the_library_cannot_load(monkeypatch, fresh_openblas_lookup):
@@ -284,24 +287,3 @@ def test_openblas_lookup_is_none_without_thread_symbols(monkeypatch, fresh_openb
     with thread_policy():
         assert thread_cap() == 1
 
-
-def test_pool_runs_without_malloc_trim(monkeypatch, fresh_openblas_lookup):
-    # musl and macOS have no malloc_trim: the lookup fails and trimming is a no-op
-    monkeypatch.setattr(parallel.ctypes, "CDLL", lambda path: object())
-    monkeypatch.setenv(ENV_VAR, "2")
-    with thread_policy():
-        assert run_indexed(lambda i: i * i, 50) == [i * i for i in range(50)]
-    assert parallel._malloc_trim()(0) == 0
-
-
-def test_pooled_runs_hand_freed_memory_back(monkeypatch):
-    trims = []
-    monkeypatch.setattr(parallel, "_malloc_trim", lambda: trims.append)
-    monkeypatch.setenv(ENV_VAR, "2")
-    with thread_policy():
-        run_indexed(lambda i: np.ones(1 << 16).sum(), 8)
-        assert trims == [0]
-        run_indexed(lambda i: i, 1)  # one item: no helper ran
-    assert trims == [0]
-    run_indexed(lambda i: i, 8)  # outside a policy: serial
-    assert trims == [0]
