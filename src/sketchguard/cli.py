@@ -439,12 +439,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SpecError(message)
 
-    def expand_options_files(self, args: list[str]) -> list[str]:
+    def expand_options_files(self, args: list[str], within: frozenset = frozenset()) -> list[str]:
         """Replace each ``@FILE`` argument by the flags written in FILE.
 
         FILE is read as UTF-8; its flags are whitespace-separated, ``#``
         starts a comment, and it may name further ``@FILE`` arguments. A file
-        that cannot be opened or decoded is a usage error that names it.
+        that cannot be opened or decoded, or that includes itself (``within``
+        holds the files being expanded), is a usage error that names it.
 
         Not argparse's ``fromfile_prefix_chars``: on Python 3.11 its reader opens FILE in
         the locale encoding, so valid UTF-8 fails under ASCII and misreads under Latin-1.
@@ -454,13 +455,16 @@ class _Parser(argparse.ArgumentParser):
             if not arg.startswith("@"):
                 out.append(arg)
                 continue
+            path = os.path.realpath(arg[1:])
+            if path in within:
+                self.error(f"options file {arg[1:]} includes itself")
             try:
                 with open(arg[1:], encoding="utf-8") as f:
                     lines = f.read().splitlines()
             except (OSError, UnicodeDecodeError) as exc:
                 self.error(f"options file {arg[1:]}: {exc}")
             out += self.expand_options_files(
-                [flag for line in lines for flag in line.partition("#")[0].split()]
+                [flag for line in lines for flag in line.partition("#")[0].split()], within | {path}
             )
         return out
 
@@ -502,7 +506,8 @@ def main(argv=None) -> int:
         out = getattr(args, "out", None)
         if out == "":
             raise SpecError("--out must name a file, got ''")
-        if out and (Path(out).is_dir() or not os.access(Path(out).parent, os.W_OK)):
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()
+                    or not os.access(Path(out).parent, os.W_OK)):
             raise OSError(f"cannot write {out}: not a file in an existing, writable directory")
         with thread_policy() if args.command in ("experiment", "oracle") else nullcontext():
             return args.func(args)

@@ -146,35 +146,21 @@ def length_sampling_probs(a: DenseMatrix, b: DenseMatrix) -> np.ndarray:
     return w / total
 
 
-def _check_probs(probs: np.ndarray, n: int) -> np.ndarray:
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] != n:
-        raise ValueError(f"probability vector must have length {n}")
-    if not np.isfinite(p).all() or (p < 0).any():
-        raise ValueError("probabilities must be finite and nonnegative")
-    if abs(float(p.sum()) - 1.0) > 1e-8:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
-    return p
-
-
 def row_sample_sketch(
-    a: DenseMatrix, b: DenseMatrix, probs, t: int, seed: int, kind: SketchKind | None = None
+    a: DenseMatrix, b: DenseMatrix, probs, t: int, seed: int,
+    kind: SketchKind = SketchKind.UNIFORM_SAMPLE,
 ) -> SketchPair:
     """Sketch by sampling rows i.i.d. from ``probs``, rescaled by 1/sqrt(t p_i).
 
-    The same row indices are used for both matrices. Indices are drawn by
-    inverse CDF over the cumulative probabilities, pinned to 1 from the last
-    p_i > 0 on; rows with p_i = 0 occupy empty intervals and are never drawn.
+    Both matrices use the row indices ``Generator.choice`` draws on stream
+    (seed, 0). It raises ValueError unless ``probs`` is a nonnegative length-n
+    vector summing to 1 within sqrt(eps); its inverse CDF is exactly 1 from the
+    last p_i > 0 on, so rows with p_i = 0 are never drawn.
     """
-    if kind is None:
-        kind = SketchKind.UNIFORM_SAMPLE
     spec = SketchSpec(kind, t, seed)
     n = check_same_rows(a, b)
-    p = _check_probs(probs, n)
-    cum = np.cumsum(p)
-    cum[np.flatnonzero(p)[-1] :] = 1.0  # so u < 1 never overruns the last drawable row
-    u = substream(seed, 0).random(t)
-    idx = np.searchsorted(cum, u, side="right")
+    p = np.asarray(probs, dtype=np.float64)
+    idx = substream(seed, 0).choice(n, t, p=p)
     scale = 1.0 / np.sqrt(t * p[idx])
     with np.errstate(over="ignore"):  # an overflowing row raises NonFiniteResultError in _wrap
         a_sk = DenseMatrix._wrap(a.array[idx] * scale[:, None])

@@ -442,6 +442,22 @@ class TestExitCodes:
         assert out == ""
         assert "--out must name a file" in _caplog_message(caplog)
 
+    @pytest.mark.parametrize("command", ["sketch", "bootstrap", "oracle", "experiment"])
+    def test_out_inside_a_regular_file_fails_before_reading_data(
+        self, capsys, caplog, tmp_path, command
+    ):
+        bad = tmp_path / "bad.svm"
+        bad.write_text("1 1:0.5\n1 x\n", encoding="utf-8")
+        argv = [command, "--data", str(bad), "--kind", "srht"]
+        argv += ["--t-grid", "4"] if command == "bootstrap" else []
+        inside = bad / "x.csv"  # bad.svm is a writable regular file
+        code, out = run_cli(capsys, *argv, "--out", str(inside))
+        assert code == EXIT_DATA
+        assert out == ""
+        message = _caplog_message(caplog)
+        assert f"cannot write {inside}" in message and "line 2" not in message
+        assert bad.read_text(encoding="utf-8") == "1 1:0.5\n1 x\n"
+
     def test_usage_error_on_missing_source(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys, "sketch", "--kind", "gaussian", "--out", str(tmp_path / "p.npz")
@@ -668,6 +684,30 @@ class TestConfigFile:
         outer = tmp_path / "outer.args"
         outer.write_text(f"--t0 100 @{inner}  # inner supplies --qhat\n", encoding="utf-8")
         code, out = run_cli(capsys, "plan", "@" + str(outer), "--epsilon", "0.1")
+        assert code == 0
+        assert out == "t = 900\n"
+
+
+    def test_file_that_includes_itself_is_usage_error_naming_it(self, capsys, caplog, tmp_path):
+        loop = tmp_path / "loop.args"
+        loop.write_text(f"--qhat 0.3 @{loop}\n", encoding="utf-8")
+        code, out = run_cli(capsys, "plan", "--t0", "100", "--epsilon", "0.1", "@" + str(loop))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"options file {loop} includes itself" in caplog.text
+
+    def test_two_files_that_include_each_other_are_usage_error(self, capsys, caplog, tmp_path):
+        first, second = tmp_path / "first.args", tmp_path / "second.args"
+        first.write_text(f"--qhat 0.3 @{second}\n", encoding="utf-8")
+        second.write_text(f"--epsilon 0.1 @{first}\n", encoding="utf-8")
+        code, out = run_cli(capsys, "plan", "--t0", "100", "@" + str(first))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"options file {first} includes itself" in caplog.text
+
+    def test_file_named_twice_side_by_side_is_read_twice(self, capsys, tmp_path):
+        args = _options_file(tmp_path, "--qhat 0.3\n")
+        code, out = run_cli(capsys, "plan", "--t0", "100", args, "--epsilon", "0.1", args)
         assert code == 0
         assert out == "t = 900\n"
 

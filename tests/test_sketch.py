@@ -176,12 +176,12 @@ class TestRowSampleSketch:
 
     @pytest.fixture
     def top_uniform(self, monkeypatch):
-        # every uniform draw is the largest double below 1
-        class Top:
-            def random(self, size):
+        # every uniform draw is the largest double below 1; choice takes them from random()
+        class Top(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
                 return np.full(size, np.nextafter(1.0, 0.0))
 
-        monkeypatch.setattr(sketch, "substream", lambda *keys: Top())
+        monkeypatch.setattr(sketch, "substream", lambda *keys: Top(np.random.Philox(0)))
 
     def test_trailing_zero_probability_row_is_never_selected(self, top_uniform):
         # the cumulative sum of these probabilities stops short of 1
@@ -209,6 +209,15 @@ class TestRowSampleSketch:
             row_sample_sketch(a, a, [0.9, 0.2, 0.2], 2, 0)
         with pytest.raises(ValueError):
             row_sample_sketch(a, a, [1.2, -0.1, -0.1], 2, 0)
+        for bad in (
+            [np.nan, 0.5, 0.5],
+            [np.inf, 0.0, 0.0],
+            [-np.inf, 1.0, 1.0],
+            [[0.5, 0.25, 0.25]],  # 2-D
+            [0.5, 0.25, 0.25 + 1e-6],  # sum off by 1e-6
+        ):
+            with pytest.raises(ValueError):
+                row_sample_sketch(a, a, bad, 2, 0)
 
 
 class TestFWHT:
