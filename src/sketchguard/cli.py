@@ -137,8 +137,10 @@ def run_experiment(
     Draws ``oracle_reps`` sketch realizations, each serving every grid t, for
     the ground-truth quantile, then ``estimator_reps`` independent
     t0-sketches, bootstrapping each and extrapolating across the grid. Both
-    draw through one ``pair_sampler``, which factors the data once; the
-    bootstrap sees only the sketch rows, whose law it keeps. The two sets of
+    share one ``pair_sampler``, which factors the data once: Gaussian oracle
+    realizations are Wishart increments on its R, and Gaussian estimator reps
+    are ``gaussian_sketch`` on R, since the bootstrap needs real sketch rows,
+    whose law R keeps. The two sets of
     draws come from disjoint streams, so ``coverage`` at t is the share of
     all (estimator rep, oracle realization) pairs whose error at t the rep's
     extrapolated bound covers, with no further draws; calibrated, it is

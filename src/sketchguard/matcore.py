@@ -21,7 +21,11 @@ class ZeroMatrixError(ValueError):
 
 
 class NonFiniteResultError(ValueError):
-    """A result computed from finite inputs is not finite: a product overflowed."""
+    """A result computed from finite, nonzero inputs is out of float64's range.
+
+    A product overflowed to inf or NaN, or the length-sampling weights of rows
+    that are nonzero in both matrices underflowed to a zero sum.
+    """
 
 
 def check_finite_result(values: np.ndarray, what: str) -> np.ndarray:

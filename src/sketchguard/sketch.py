@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import DenseMatrix, check_finite_result, check_same_rows
+from .matcore import DenseMatrix, NonFiniteResultError, check_finite_result, check_same_rows
 from .rng import check_seed, substream
 
 __all__ = [
@@ -134,7 +134,8 @@ def length_sampling_probs(a: DenseMatrix, b: DenseMatrix) -> np.ndarray:
 
     p_i is the product of the Euclidean norms of row i of a and row i of b,
     normalized to sum to 1. Raises LengthSamplingError when all products are
-    zero (a or b is the zero matrix), NonFiniteResultError when they overflow.
+    zero (no row is nonzero in both a and b), NonFiniteResultError when they
+    overflow, or underflow to a zero sum although such a row exists.
     """
     check_same_rows(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,6 +143,11 @@ def length_sampling_probs(a: DenseMatrix, b: DenseMatrix) -> np.ndarray:
         w = nrm * (nrm if b is a else np.linalg.norm(b.array, axis=1))
         total = float(check_finite_result(w.sum(), "the sum of length-sampling weights"))
     if total == 0.0:
+        if (a.array.any(axis=1) & b.array.any(axis=1)).any():
+            raise NonFiniteResultError(
+                "the row-norm products underflowed to zero: the inputs are too small for "
+                "length sampling in float64"
+            )
         raise LengthSamplingError("all row-norm products are zero; length sampling undefined")
     return w / total
 

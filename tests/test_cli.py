@@ -247,21 +247,27 @@ class TestExperiment:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_gaussian_draws_do_not_materialize_s(self, monkeypatch):
-        # oracle and estimator reps sketch R in Gram space (see oracle.pair_sampler)
-        rows = []
-        real = oracle.gaussian_sketch
+        # oracle blocks and estimator reps draw in Gram space, from R (see oracle.pair_sampler)
+        oracle_rows, estimator_rows = [], []
+        real_sketch, real_increments = oracle.gaussian_sketch, oracle.gaussian_increments
 
-        def recorder(a, b, t, seed):
-            rows.append(a.rows)
-            return real(a, b, t, seed)
+        def sketch_recorder(a, b, t, seed):
+            estimator_rows.append(a.rows)
+            return real_sketch(a, b, t, seed)
 
-        monkeypatch.setattr(oracle, "gaussian_sketch", recorder)
+        def increments_recorder(r_a, r_b, steps, seeds):
+            oracle_rows.append(r_a.shape[0])
+            return real_increments(r_a, r_b, steps, seeds)
+
+        monkeypatch.setattr(oracle, "gaussian_sketch", sketch_recorder)
+        monkeypatch.setattr(oracle, "gaussian_increments", increments_recorder)
         experiment = self.small_experiment()
         result = experiment()
         matrix, params = experiment.args[0], experiment.keywords
         assert all(row[1] > 0 and row[4] > 0 for row in result.rows)
-        assert len(rows) == params["oracle_reps"] + params["estimator_reps"]
-        assert max(rows) <= min(matrix.rows, matrix.cols)
+        assert len(oracle_rows) == -(-params["oracle_reps"] // oracle.BLOCK)
+        assert len(estimator_rows) == params["estimator_reps"]
+        assert max(oracle_rows + estimator_rows) <= min(matrix.rows, matrix.cols)
 
     def test_zero_matrix_yields_zero_columns(self, tmp_path):
         result = run_experiment(
@@ -560,6 +566,22 @@ class TestExitCodes:
             "--kind", "srht", "--t-grid", "8", "--reps", "10",
         )
         assert code == EXIT_NUMERIC
+
+    def test_underflowing_length_weights_are_numeric(self, capsys, caplog, tmp_path):
+        # 512 x 8 entries near 1e-170: no row is zero, but every row norm underflows
+        rows = np.random.default_rng(9).standard_normal((512, 8))
+        data = tmp_path / "tiny.txt"
+        data.write_text(
+            "".join("1 " + " ".join(f"{j + 1}:{v * 1e-170:.17g}" for j, v in enumerate(r)) + "\n"
+                    for r in rows),
+            encoding="utf-8",
+        )
+        code, _ = run_cli(
+            capsys, "bootstrap", "--data", str(data), "--no-normalize", "--kind", "length",
+            "--t0", "32",
+        )
+        assert code == EXIT_NUMERIC
+        assert "numerical failure: the row-norm products underflowed to zero" in caplog.text
 
     @pytest.mark.parametrize(
         "error, logged",

@@ -262,15 +262,21 @@ class TestGramSpaceSampler:
             assert drawn.a_sketch == apply_spec(a, a, SketchSpec(kind, 8, 4)).a_sketch
 
     def test_gaussian_oracle_does_not_materialize_s(self, monkeypatch):
-        # every Gaussian draw of the oracle sketches R, never the n-row data
+        # every Gaussian draw, oracle block or estimator rep, sees R, never the n-row data
         rows = []
-        real = oracle.gaussian_sketch
+        real_sketch, real_increments = oracle.gaussian_sketch, oracle.gaussian_increments
 
-        def recorder(a, b, t, seed):
+        def sketch_recorder(a, b, t, seed):
             rows.append(a.rows)
-            return real(a, b, t, seed)
+            return real_sketch(a, b, t, seed)
 
-        monkeypatch.setattr(oracle, "gaussian_sketch", recorder)
+        def increments_recorder(r_a, r_b, steps, seeds):
+            rows.append(r_a.shape[0])
+            return real_increments(r_a, r_b, steps, seeds)
+
+        monkeypatch.setattr(oracle, "gaussian_sketch", sketch_recorder)
+        monkeypatch.setattr(oracle, "gaussian_increments", increments_recorder)
+        monkeypatch.setattr(oracle, "BLOCK", 3)
         m = synth_matrix(SynthProfile(128, 4, "high", 59))
         curve = mc_quantile_curve(m, m, SketchKind.GAUSSIAN, [4, 8], 20, 0.1, 0)
         assert all(v > 0 for v in curve.values)
@@ -279,8 +285,26 @@ class TestGramSpaceSampler:
             oracle_reps=10, estimator_reps=10, seed=1,
         )
         assert 0.0 <= result.coverage[0] <= 1.0
-        assert len(rows) == 20 + 10 + 10
+        assert len(rows) == 7 + 4 + 10  # blocks of 3 of 20 and of 10 oracle reps, 10 estimator reps
         assert max(rows) <= min(m.rows, m.cols)
+
+    @pytest.mark.parametrize("case", ["b-is-a", "b-differs", "fewer-rows-than-columns"])
+    def test_oracle_error_law_matches_materialized_sketches_at_every_grid_t(self, case):
+        # steps of 2, 3, 11 and 24 rows: two of them exceed k and draw Bartlett factors
+        rng = np.random.default_rng(72)
+        rows = 4 if case == "fewer-rows-than-columns" else 256
+        a = DenseMatrix(rng.standard_normal((rows, 4 if rows == 256 else 3)))
+        width = 3 if rows == 256 else 5
+        b = a if case == "b-is-a" else DenseMatrix(rng.standard_normal((rows, width)))
+        k = min(rows, a.cols + (0 if b is a else b.cols))
+        grid = (2, 5, 16, 40)
+        assert sum(t - s > k for s, t in zip((0,) + grid, grid)) >= 2
+        curve = mc_quantile_curve(a, b, SketchKind.GAUSSIAN, grid, self.DRAWS, 0.1, 73)
+        for t, nested in zip(grid, curve.errors.T):
+            dense = _errors(
+                lambda t_, s: sketch.gaussian_sketch(a, b, t_, s), a, b, t, self.DRAWS, 74 + t
+            )
+            assert _ks_statistic(nested, dense) <= _ks_critical(self.DRAWS, self.DRAWS), t
 
     @pytest.mark.parametrize("same", [True, False], ids=["b-is-a", "b-differs"])
     def test_draw_is_gaussian_sketch_of_r(self, same):
@@ -354,3 +378,29 @@ class TestNestedOracle:
         monkeypatch.setenv("SKETCHGUARD_THREADS", "2")
         assert main(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
+class TestBlockedOracle:
+    """Errors do not depend on the block size, and are prefix-stable in reps."""
+
+    @pytest.mark.parametrize("kind", list(SketchKind), ids=[k.value for k in SketchKind])
+    def test_errors_do_not_depend_on_the_block_and_are_prefix_stable(self, monkeypatch, kind):
+        rng = np.random.default_rng(75)
+        bartlett, default = 0, oracle.BLOCK
+        for i in range(6):
+            n, d = int(rng.integers(3, 200)), int(rng.integers(1, 7))
+            a = DenseMatrix(rng.standard_normal((n, d)))
+            b = a if i % 2 else DenseMatrix(rng.standard_normal((n, int(rng.integers(1, 7)))))
+            grid = sorted({int(t) for t in rng.integers(1, 6 * (d + 6), 4)})
+            reps = int(rng.integers(11, 24))
+            cut = int(rng.integers(10, reps))  # a prefix that ends inside a block
+            k = min(n, a.cols + (0 if b is a else b.cols))
+            bartlett += any(t - s > k for s, t in zip([0] + grid, grid))
+            runs = []
+            for block in (1, 3, 10, default):
+                monkeypatch.setattr(oracle, "BLOCK", block)
+                runs.append(mc_quantile_curve(a, b, kind, grid, reps, 0.1, i).errors.tobytes())
+                prefix = mc_quantile_curve(a, b, kind, grid, cut, 0.1, i).errors
+                assert prefix.tobytes() == runs[0][: prefix.nbytes], (block, n, d, grid, cut)
+            assert runs[0] == runs[1] == runs[2] == runs[3], (n, d, grid)
+        assert bartlett >= 3  # most shapes have a step of more than k rows

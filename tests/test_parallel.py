@@ -62,12 +62,14 @@ def test_outside_a_policy_the_variable_is_not_read_and_items_run_serially(monkey
 
 
 def recording_sampler(monkeypatch):
-    """Make oracle.pair_sampler record (worker count, thread id) for every draw."""
-    real = oracle.pair_sampler
+    """Record (worker count, thread id) for every oracle draw of a row kind and Gaussian block."""
+    real_sampler, real_increments = oracle.pair_sampler, oracle.gaussian_increments
     seen = []
 
     def recording(a, b, kind):
-        draw = real(a, b, kind)
+        draw = real_sampler(a, b, kind)
+        if isinstance(draw, oracle.GramSampler):  # the oracle draws through gaussian_increments
+            return draw
 
         def recorded(t, s):
             seen.append((thread_cap(), threading.get_ident()))
@@ -75,7 +77,12 @@ def recording_sampler(monkeypatch):
 
         return recorded
 
+    def increments(*args):
+        seen.append((thread_cap(), threading.get_ident()))
+        return real_increments(*args)
+
     monkeypatch.setattr(oracle, "pair_sampler", recording)
+    monkeypatch.setattr(oracle, "gaussian_increments", increments)
     return seen
 
 
@@ -182,25 +189,20 @@ def test_pool_runs_each_item_once_under_fast_thread_switching(monkeypatch):
 
 def test_pool_failure_has_the_serial_exit_code_and_message(monkeypatch, caplog):
     seed = derive_seed(1, 1)  # the oracle command's stream tag
-    failing_reps = {derive_seed(seed, r): r for r in (3, 7)}
-    real = oracle.pair_sampler
+    failing_reps = {derive_seed(seed, r): r for r in (3, oracle.BLOCK + 3)}  # in two blocks
+    real = oracle.gaussian_increments
 
-    def failing(a, b, kind):
-        draw = real(a, b, kind)
+    def failing(r_a, r_b, steps, seeds):
+        failed = [failing_reps[s] for s in seeds if s in failing_reps]
+        if failed == [3]:
+            time.sleep(0.05)  # the second block fails first in time
+        if failed:
+            raise NonFiniteResultError(f"draw {failed[0]}")
+        return real(r_a, r_b, steps, seeds)
 
-        def failing_draw(t, s):
-            r = failing_reps.get(s)
-            if r == 3:
-                time.sleep(0.05)  # realization 7 fails first in time
-            if r is not None:
-                raise NonFiniteResultError(f"draw {r}")
-            return draw(t, s)
-
-        return failing_draw
-
-    monkeypatch.setattr(oracle, "pair_sampler", failing)
+    monkeypatch.setattr(oracle, "gaussian_increments", failing)
     argv = ["oracle", "--synth", "128,4,high", "--kind", "gaussian", "--t-grid", "4,8",
-            "--reps", "20", "--seed", "1"]
+            "--reps", str(2 * oracle.BLOCK), "--seed", "1"]
     logged = []
     for threads in ("1", "2", ""):
         monkeypatch.setenv(ENV_VAR, threads)

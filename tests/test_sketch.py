@@ -134,6 +134,16 @@ class TestLengthSamplingProbs:
         m = DenseMatrix(np.ones((4, 2)))
         with pytest.raises(LengthSamplingError):
             length_sampling_probs(z, m)
+        disjoint = DenseMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(LengthSamplingError):
+            length_sampling_probs(disjoint, DenseMatrix(disjoint.array[::-1].copy()))
+
+    def test_underflowing_products_are_a_numerical_failure(self):
+        # each row norm squares its entries, so 2^-560 underflows although no row is zero
+        a = DenseMatrix(np.random.default_rng(6).standard_normal((512, 8)) * 2.0**-560)
+        for b in (a, DenseMatrix(a.array[:, ::-1].copy())):
+            with pytest.raises(NonFiniteResultError, match="underflowed"):
+                length_sampling_probs(a, b)
 
 
 class TestRowSampleSketch:
