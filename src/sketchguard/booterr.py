@@ -105,15 +105,26 @@ def multiplier_error(pair: SketchPair, weights) -> np.ndarray:
     Row b gives max-abs of (xibar * (A~^T B~) - A~^T diag(xi) B~) for its
     weights xi, without materializing diag(xi): the two terms combine into
     one product of A~^T with the rows of B~ scaled by (xibar - xi), and the
-    B products run as one batched matmul.
+    B products run as batched matmuls. When the pair is one matrix that
+    product is symmetric, so its d columns split into up to four row groups
+    of at least 16, and group [lo, hi) is multiplied only into columns lo
+    onward: the upper block triangle holds the same max-abs at 5/8 of the
+    flops for four groups. Two matrices, or d < 32, run one full group.
     """
     w = np.asarray(weights, dtype=np.float64)
     t = pair.t
     if w.ndim != 2 or w.shape[1] != t:
         raise ValueError(f"weights must have shape (B, {t}), got {w.shape}")
-    c = w.mean(axis=1, keepdims=True) - w
-    m = np.matmul(pair.a_sketch.array.T, c[:, :, None] * pair.b_sketch.array)
-    return np.abs(m).max(axis=(1, 2))
+    a, b = pair.a_sketch.array, pair.b_sketch.array
+    scaled = (w.mean(axis=1, keepdims=True) - w)[:, :, None] * b
+    d = a.shape[1]
+    groups = max(1, min(4, d // 16)) if pair.b_sketch is pair.a_sketch else 1
+    edges = [k * d // groups for k in range(groups + 1)]
+    out = np.zeros(len(w))
+    for lo, hi in zip(edges, edges[1:]):
+        m = np.matmul(a[:, lo:hi].T, scaled[:, :, lo:])
+        np.maximum(out, np.abs(m, out=m).max(axis=(1, 2)), out=out)
+    return out
 
 
 def empirical_quantile(samples, p: float) -> float:

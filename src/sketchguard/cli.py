@@ -224,8 +224,10 @@ def save_pair(path, pair: SketchPair) -> None:
 def load_pair(path) -> SketchPair:
     """Load a sketch pair stored by save_pair.
 
-    A file that is not such an archive, or whose contents do not form a
-    valid pair, raises a ValueError that names ``path``.
+    Bit-equal stored sketches load as one matrix shared by both sides, as
+    a fresh pair of one matrix has it, so the bootstrap scores it alike. A
+    file that is not such an archive, or whose contents do not form a valid
+    pair, raises a ValueError that names ``path``.
     """
     try:
         z = np.load(path)
@@ -234,6 +236,8 @@ def load_pair(path) -> SketchPair:
         with z:
             spec = SketchSpec(str(z["kind"]), int(z["t"]), int(z["seed"]))
             a, b = DenseMatrix(z["a_sketch"]), DenseMatrix(z["b_sketch"])
+            if a.array.shape == b.array.shape and a.array.tobytes() == b.array.tobytes():
+                b = a
             return SketchPair(a, b, spec, int(z["source_rows"]))
     except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise _PairFileError(f"{path}: not a stored sketch pair: {exc}") from None

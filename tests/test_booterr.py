@@ -341,6 +341,73 @@ class TestBootstrapQuantile:
             BootstrapConfig("bogus", 20, 0.01, 0)
 
 
+def one_matrix_shapes(seed: int):
+    """Seeded (t, d) shapes with b is a: one group below d = 32, uneven splits above."""
+    rng = np.random.default_rng(seed)
+    for d in (1, 5, 16, 31, 32, 33, 47, 50, 64, 70, *rng.integers(1, 71, 4)):
+        yield int(rng.integers(2, 41)), int(d)
+
+
+def one_matrix_pair(t: int, d: int, seed: int) -> SketchPair:
+    m = DenseMatrix(np.random.default_rng(seed).standard_normal((t, d)))
+    return SketchPair(m, m, SketchSpec(SketchKind.GAUSSIAN, t, 0), source_rows=100)
+
+
+class TestOneMatrixPair:
+    """A pair whose sketches are one matrix is scored over its upper block triangle."""
+
+    def test_multiplier_kernel_matches_dyad_form(self):
+        for trial, (t, d) in enumerate(one_matrix_shapes(40)):
+            pair = one_matrix_pair(t, d, trial)
+            xi = substream(41, trial).standard_normal((2, t))
+            want = [dyad_form_error(pair, row) for row in xi]
+            assert np.abs(multiplier_error(pair, xi) - want).max() <= 1e-12, (t, d)
+
+    def test_resampling_counts_match_joint_row_resampling(self):
+        for trial, (t, d) in enumerate(one_matrix_shapes(42)):
+            pair = one_matrix_pair(t, d, trial)
+            idx = substream(43, trial).integers(0, t, (8, t))
+            counts = np.array([np.bincount(row, minlength=t) for row in idx])
+            want = [resample_error(pair, row) for row in idx]
+            assert np.abs(multiplier_error(pair, counts - 1.0) - want).max() <= 1e-12, (t, d)
+
+    def test_triangle_matches_the_full_product_of_a_copy(self):
+        for trial, (t, d) in enumerate(one_matrix_shapes(44)):
+            pair = one_matrix_pair(t, d, trial)
+            twin = replace(pair, b_sketch=DenseMatrix(pair.a_sketch.array))
+            xi = substream(45, trial).standard_normal((16, t))
+            got, full = multiplier_error(pair, xi), multiplier_error(twin, xi)
+            if d < 32:
+                assert np.array_equal(got, full), (t, d)
+            np.testing.assert_allclose(got, full, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    def test_samples_do_not_depend_on_block_size(self, scheme, monkeypatch):
+        for trial, (t, d) in enumerate(one_matrix_shapes(46)):
+            pair = one_matrix_pair(t, d, trial)
+            cfg = BootstrapConfig(scheme, 25, 0.05, trial)
+            whole = bootstrap_quantile(pair, cfg)
+            per_replicate = max(t, d) * d
+            for cap in (1, 3 * per_replicate, 7 * per_replicate + 1):
+                monkeypatch.setattr(booterr, "MAX_BOOT_BLOCK_ENTRIES", cap)
+                assert bootstrap_quantile(pair, cfg).samples == whole.samples, (t, d, cap)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    @pytest.mark.parametrize("kind", list(SketchKind))
+    def test_samples_are_prefix_stable_in_b_for_every_kind(self, kind, scheme):
+        rng = np.random.default_rng(47)
+        for trial in range(3):
+            n, d, t = int(rng.integers(64, 200)), int(rng.integers(1, 71)), int(rng.integers(2, 41))
+            m = DenseMatrix(rng.standard_normal((n, d)))
+            pair = apply_spec(m, m, SketchSpec(kind, t, trial))
+            assert pair.b_sketch is pair.a_sketch
+            k = int(rng.integers(2, 30))
+            small = bootstrap_quantile(pair, BootstrapConfig(scheme, k, 0.05, trial))
+            large = bootstrap_quantile(pair, BootstrapConfig(scheme, 60, 0.05, trial))
+            assert large.samples[:k] == small.samples, (n, d, t, k)
+
+
 class TestStreamsIndependentOfSketch:
     """A sketch and a bootstrap given the same seed must not share draws."""
 

@@ -169,6 +169,28 @@ class TestSketchAndBootstrapCommands:
         assert loaded.spec == pair.spec
         assert loaded.source_rows == pair.source_rows
 
+    @pytest.mark.parametrize("kind", list(SketchKind))
+    def test_stored_one_matrix_pair_loads_shared_and_bootstraps_alike(self, tmp_path, kind):
+        # d = 48 scores a one-matrix pair over three row groups, unlike a pair of two
+        m = DenseMatrix(np.random.default_rng(3).standard_normal((200, 48)))
+        pair = apply_spec(m, m, SketchSpec(kind, 40, 7))
+        f = tmp_path / "p.npz"
+        save_pair(f, pair)
+        loaded = load_pair(f)
+        assert loaded.b_sketch is loaded.a_sketch
+        for scheme in BootstrapScheme:
+            cfg = BootstrapConfig(scheme, 30, 0.05, 11)
+            assert bootstrap_quantile(loaded, cfg).samples == bootstrap_quantile(pair, cfg).samples
+
+    def test_stored_pair_of_two_matrices_loads_two(self, tmp_path):
+        rng = np.random.default_rng(4)
+        a, b = (DenseMatrix(rng.standard_normal((50, 4))) for _ in range(2))
+        f = tmp_path / "p.npz"
+        save_pair(f, apply_spec(a, b, SketchSpec(SketchKind.GAUSSIAN, 6, 1)))
+        loaded = load_pair(f)
+        assert loaded.b_sketch is not loaded.a_sketch
+        assert loaded.b_sketch != loaded.a_sketch
+
     def test_pair_is_written_at_the_given_path(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out = run_cli(

@@ -123,8 +123,8 @@ class TestLengthSamplingProbs:
         twin = DenseMatrix(a.array.copy())
         want = length_sampling_probs(a, twin)
         calls = []
-        norm = np.linalg.norm
-        monkeypatch.setattr(np.linalg, "norm", lambda *x, **k: calls.append(1) or norm(*x, **k))
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *x, **k: calls.append(1) or einsum(*x, **k))
         got = length_sampling_probs(a, a)
         assert len(calls) == 1
         assert np.array_equal(got, want)
