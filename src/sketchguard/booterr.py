@@ -12,7 +12,8 @@ only in the weights:
 
 The B weight vectors are the rows of one (B, t) matrix read row-major from
 one Philox stream, which no sketch kind reads, and each block of rows is
-scored by one batched product.
+scored by batched products. When A~ and B~ are one matrix each product is
+symmetric, so only its upper block triangle is computed.
 
 The (1 - alpha) interpolated quantile of B such samples estimates the
 tightest error bound holding with probability 1 - alpha at the current
@@ -119,11 +120,12 @@ def multiplier_error(pair: SketchPair, weights) -> np.ndarray:
     scaled = (w.mean(axis=1, keepdims=True) - w)[:, :, None] * b
     d = a.shape[1]
     groups = max(1, min(4, d // 16)) if pair.b_sketch is pair.a_sketch else 1
-    edges = [k * d // groups for k in range(groups + 1)]
-    out = np.zeros(len(w))
-    for lo, hi in zip(edges, edges[1:]):
-        m = np.matmul(a[:, lo:hi].T, scaled[:, :, lo:])
-        np.maximum(out, np.abs(m, out=m).max(axis=(1, 2)), out=out)
+    out = None
+    for k in range(groups):
+        lo = k * d // groups
+        m = np.matmul(a[:, lo : (k + 1) * d // groups].T, scaled[:, :, lo:])
+        top = np.abs(m, out=m).max(axis=(1, 2))
+        out = top if out is None else np.maximum(out, top, out=out)
     return out
 
 

@@ -148,6 +148,16 @@ class TestMultinomialWeights:
         want = [resample_error(pair, row) for row in idx]
         assert np.abs(multiplier_error(pair, counts - 1.0) - want).max() <= 1e-12
 
+    def test_pairing_holds_over_random_shapes(self):
+        rng = np.random.default_rng(14)
+        for trial in range(20):
+            t = int(rng.integers(1, 41))
+            pair = make_pair(t, int(rng.integers(1, 71)), int(rng.integers(1, 71)), seed=trial)
+            idx = substream(15, trial).integers(0, t, (6, t))
+            counts = np.array([np.bincount(row, minlength=t) for row in idx])
+            want = [resample_error(pair, row) for row in idx]
+            assert np.abs(multiplier_error(pair, counts - 1.0) - want).max() <= 1e-12
+
     def test_weight_moments(self):
         # Counts from t balls in t equal bins: weights are centered with
         # variance 1 - 1/t.
@@ -272,6 +282,17 @@ class TestBootstrapQuantile:
         small = bootstrap_quantile(pair, BootstrapConfig(scheme, 20, 0.01, 9))
         large = bootstrap_quantile(pair, BootstrapConfig(scheme, 40, 0.01, 9))
         assert large.samples[:20] == small.samples
+
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    def test_prefix_stability_over_random_shapes(self, scheme):
+        rng = np.random.default_rng(26)
+        for trial in range(10):
+            t, d, dp = (int(v) for v in rng.integers(1, 71, 3))
+            pair = make_pair(max(t, 2), d, dp, seed=trial)
+            k = int(rng.integers(2, 40))
+            small = bootstrap_quantile(pair, BootstrapConfig(scheme, k, 0.05, trial))
+            large = bootstrap_quantile(pair, BootstrapConfig(scheme, 40, 0.05, trial))
+            assert large.samples[:k] == small.samples, (t, d, dp, k)
 
     def scaled_pair(self, pair: SketchPair, ka: float, kb: float) -> SketchPair:
         return SketchPair(
