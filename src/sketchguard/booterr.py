@@ -168,9 +168,13 @@ def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstima
     (or one replicate's). The stream's draws do not depend on how they are split, so
     the samples do not depend on the block size, and runs are prefix-stable:
     increasing the replicate count reproduces the earlier samples. A sample
-    that overflows raises NonFiniteResultError.
+    that overflows raises NonFiniteResultError. A one-row sketch raises
+    ValueError: its every replicate's error is exactly 0, whatever the data.
     """
     t, da, db = pair.t, pair.a_sketch.cols, pair.b_sketch.cols
+    if t < 2:
+        raise ValueError(f"the bootstrap needs a sketch of at least 2 rows, got {t}: "
+                         "with one row every replicate's error is exactly 0")
     block = max(1, MAX_BOOT_BLOCK_ENTRIES // (max(t, da) * db))
     gen = substream(cfg.seed, BOOT_STREAM_KEY)
     samples = np.empty(cfg.replicates)
@@ -198,14 +202,12 @@ def extrapolate(est: QuantileEstimate, t: int) -> float:
 def plan_sketch_size(est: QuantileEstimate, epsilon: float) -> int:
     """Smallest t whose extrapolated quantile is at most epsilon.
 
-    Ceiling of t0 * (value / epsilon)^2, floored at 1. A zero estimate means
-    any sketch size passes, so 1 is returned. Raises ValueError when that
-    size is not a finite number.
+    Ceiling of t0 * (value / epsilon)^2, floored at 1, so a zero estimate
+    plans 1. Raises ValueError when epsilon is not positive (NaN included)
+    or that size is not a finite number.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if est.value == 0.0:
-        return 1
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     try:
         size = est.t0 * (est.value / epsilon) ** 2
     except OverflowError:

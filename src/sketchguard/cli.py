@@ -95,11 +95,11 @@ class _PairFileError(ValueError):
 
 
 def _default_t0(d: int) -> int:
-    return max(1, d // 2)
+    return max(2, d // 2)  # the bootstrap needs at least 2 sketch rows
 
 
 def default_t_grid(d: int) -> tuple[int, ...]:
-    """Eight log-spaced sketch sizes from d/2 up to 10d."""
+    """Eight log-spaced sketch sizes from d/2 (at least 2) up to 10d."""
     lo = _default_t0(d)
     hi = max(lo + 1, 10 * d)
     grid = np.unique(np.rint(np.geomspace(lo, hi, 8)).astype(int))
@@ -144,9 +144,9 @@ def run_experiment(
     draws come from disjoint streams, so ``coverage`` at t is the share of
     all (estimator rep, oracle realization) pairs whose error at t the rep's
     extrapolated bound covers, with no further draws; calibrated, it is
-    about 1 - alpha. ``t0`` defaults to d/2 and ``t_grid`` to eight
-    log-spaced points from d/2 to 10d. Writes no file: ``rows`` are the CSV's
-    rows. Runs under ``thread_policy``.
+    about 1 - alpha. ``t0`` must be at least 2 and defaults to d/2 (at least
+    2), ``t_grid`` to eight log-spaced points from there to 10d. Writes no
+    file: ``rows`` are the CSV's rows. Runs under ``thread_policy``.
     """
     if not isinstance(matrix, DenseMatrix):
         raise SpecError("matrix must be a DenseMatrix")
@@ -154,6 +154,8 @@ def run_experiment(
         raise SpecError("estimator_reps must be at least 1")
     d = matrix.cols
     t0 = t0 if t0 is not None else _default_t0(d)
+    if t0 < 2:
+        raise SpecError(f"t0 must be at least 2 for the bootstrap, got {t0}")
     grid = tuple(sorted(set(t_grid))) if t_grid is not None else default_t_grid(d)
     # Built before the oracle, so bad parameters fail before any work; each rep re-seeds boot.
     sketch = SketchSpec(kind, t0, seed)
@@ -303,7 +305,8 @@ _OPTIONS = (
     (_DATA, "--synth", _to_synth, None, "synthetic matrix as n,d,low|high"),
     (_DATA, "--no-normalize", None, None, "skip scaling loaded data to unit Gram max-abs entry"),
     (_DATA, "--kind", SketchKind, None, "sketch operator: " + "|".join(SketchKind)),
-    ("sketch bootstrap plan experiment", "--t0", int, None, "initial sketch size (default: d/2)"),
+    ("sketch bootstrap plan experiment", "--t0", int, None,
+     "initial sketch size (default: d/2, at least 2)"),
     ("bootstrap oracle experiment", "--t-grid", _to_grid, None,
      "comma list of sketch sizes (default: 8 log-spaced from d/2 to 10d)"),
     ("bootstrap oracle experiment", "--alpha", _finite("alpha"), _DEFAULTS["alpha"],

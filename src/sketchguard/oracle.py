@@ -163,11 +163,9 @@ def gaussian_increments(r_a: np.ndarray, r_b: np.ndarray, steps, seeds):
 
 
 def _row_increments(draw, steps, seeds):
-    """Yield, per grid step, that step's rows of each realization's draw at t_max."""
-    pairs = [draw(sum(steps), s) for s in seeds]
-    same = pairs[0].b_sketch is pairs[0].a_sketch
-    x_a = np.stack([p.a_sketch.array for p in pairs])
-    x_b = x_a if same else np.stack([p.b_sketch.array for p in pairs])
+    """Yield, per grid step, views of that step's rows of the one seed's draw at t_max."""
+    pair = draw(sum(steps), *seeds)  # row kinds run one realization a pool item
+    x_a, x_b = pair.a_sketch.array[None], pair.b_sketch.array[None]
     lo = 0
     for d in steps:
         yield x_a[:, lo : lo + d], x_b[:, lo : lo + d]

@@ -53,8 +53,15 @@ class TestMultiplierSample:
 
     def test_single_row_cancels_exactly(self):
         pair = make_pair(1, 3, 2, seed=2)
-        est = bootstrap_quantile(pair, BootstrapConfig("multiplier", 5, 0.1, 4))
-        assert est.samples == (0.0,) * 5
+        xi = substream(4, BOOT_STREAM_KEY).standard_normal((5, 1))
+        assert multiplier_error(pair, xi).tolist() == [0.0] * 5
+
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    def test_single_row_sketch_is_refused(self, scheme):
+        # every replicate of one row cancels exactly, so a bound of 0 would say nothing
+        with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+            bootstrap_quantile(make_pair(1, 3, 2, seed=2), BootstrapConfig(scheme, 5, 0.1, 4))
+        assert bootstrap_quantile(make_pair(2, 3, 2), BootstrapConfig(scheme, 5, 0.1, 4)).value > 0
 
     def test_matches_dyad_form_with_fixed_weights(self):
         pair = make_pair(8, 3, 2, seed=3)
@@ -93,8 +100,9 @@ class TestNonFiniteSamples:
 class TestNonparametricSample:
     def test_single_row_resample_is_zero(self):
         pair = make_pair(1, 2, 2, seed=7)
-        est = bootstrap_quantile(pair, BootstrapConfig("nonparametric", 2, 0.1, 1))
-        assert est.samples == (0.0, 0.0)
+        gen = substream(1, BOOT_STREAM_KEY)
+        counts = booterr._weights(BootstrapScheme.NONPARAMETRIC, gen, 2, 1)
+        assert multiplier_error(pair, counts).tolist() == [0.0, 0.0]
 
     def test_identical_rows_resample_invariance(self):
         row_a = np.array([1.5, -2.0, 0.5])
@@ -555,8 +563,10 @@ class TestPlanSketchSize:
             assert extrapolate(e, t) <= eps * (1 + 1e-12)
 
     def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            plan_sketch_size(self.est(10, 0.1), 0.0)
+        # a zero estimate plans 1 only for a valid epsilon; NaN is not one
+        for value, epsilon in itertools.product((0.1, 0.0), (0.0, -0.5, math.nan)):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                plan_sketch_size(self.est(10, value), epsilon)
 
     @pytest.mark.parametrize("value,epsilon", [(1e200, 1e-200), (1e200, 1e-100)])
     def test_non_finite_size_raises(self, value, epsilon):

@@ -764,6 +764,55 @@ class TestDefaultGrid:
         assert len(grid) == 8
         assert all(t2 > t1 for t1, t2 in zip(grid, grid[1:]))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_starts_at_two_rows_for_narrow_data(self, d):
+        assert default_t_grid(d)[0] == 2
+
+
+class TestOneRowBootstrap:
+    """One sketch row makes every replicate's error exactly 0: a usage error, not a bound."""
+
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    @pytest.mark.parametrize("kind", list(SketchKind))
+    def test_bootstrap_t0_one_is_usage_error(self, capsys, caplog, kind, scheme):
+        code, out = run_cli(
+            capsys, "bootstrap", "--synth", "2048,64,high", "--kind", kind.value, "--t0", "1",
+            "--scheme", scheme.value, "--t-grid", "64,640",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "the bootstrap needs a sketch of at least 2 rows, got 1" in caplog.text
+
+    def test_stored_one_row_pair_is_usage_error(self, capsys, caplog, tmp_path):
+        out = tmp_path / "one.npz"
+        argv = ("--synth", "64,8,high", "--kind", "gaussian", "--t0", "1", "--out", str(out))
+        assert run_cli(capsys, "sketch", *argv)[0] == 0  # storing one row is fine
+        assert run_cli(capsys, "bootstrap", "--pair", str(out))[0] == EXIT_USAGE
+        assert "at least 2 rows, got 1" in caplog.text
+
+    def test_default_t0_on_three_columns_is_two_rows(self, capsys):
+        code, out = run_cli(capsys, "bootstrap", "--synth", "200,3,high", "--kind", "gaussian")
+        assert code == 0
+        assert out == "q_hat(2) = 2.87744545\n"
+
+    def test_experiment_t0_one_fails_before_any_draw(self, capsys, caplog, monkeypatch, tmp_path):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("the data were factored before t0 was checked")
+
+        data = tmp_path / "d.svm"
+        data.write_text("1 1:0.5 2:1\n-1 1:2 2:-1\n1 1:1.5 2:0.25\n", encoding="utf-8")
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        code, out = run_cli(
+            capsys, "experiment", "--data", str(data), "--kind", "gaussian", "--t0", "1",
+            "--out", str(tmp_path / "e.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "t0 must be at least 2 for the bootstrap, got 1" in caplog.text
+        assert not (tmp_path / "e.csv").exists()
+        with pytest.raises(cli.SpecError, match="t0 must be at least 2"):
+            run_experiment(DenseMatrix(np.ones((4, 2))), "length", t0=1)
+
 
 def _caplog_message(caplog):
     return "\n".join(r.getMessage() for r in caplog.records)
