@@ -59,7 +59,6 @@ from .sketch import LengthSamplingError, SketchKind, SketchPair, SketchSpec, app
 
 __all__ = [
     "ExperimentResult",
-    "SpecError",
     "run_experiment",
     "write_curve_csv",
     "default_t_grid",
@@ -84,10 +83,6 @@ _TAG_DATA = 0
 _TAG_ORACLE = 1
 _TAG_EST_SKETCH = 2
 _TAG_EST_BOOT = 3
-
-
-class SpecError(ValueError):
-    """Invalid experiment specification or command-line usage."""
 
 
 class _PairFileError(ValueError):
@@ -149,13 +144,13 @@ def run_experiment(
     file: ``rows`` are the CSV's rows. Runs under ``thread_policy``.
     """
     if not isinstance(matrix, DenseMatrix):
-        raise SpecError("matrix must be a DenseMatrix")
+        raise ValueError("matrix must be a DenseMatrix")
     if estimator_reps < 1:
-        raise SpecError("estimator_reps must be at least 1")
+        raise ValueError("estimator_reps must be at least 1")
     d = matrix.cols
     t0 = t0 if t0 is not None else _default_t0(d)
     if t0 < 2:
-        raise SpecError(f"t0 must be at least 2 for the bootstrap, got {t0}")
+        raise ValueError(f"t0 must be at least 2 for the bootstrap, got {t0}")
     grid = tuple(sorted(set(t_grid))) if t_grid is not None else default_t_grid(d)
     # Built before the oracle, so bad parameters fail before any work; each rep re-seeds boot.
     sketch = SketchSpec(kind, t0, seed)
@@ -323,12 +318,14 @@ _OPTIONS = (
 def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is None:
-            raise SpecError(f"missing required option --{name}")
+            raise ValueError(f"missing required option --{name}")
 
 
 def _resolve_cli_matrix(args: argparse.Namespace) -> DenseMatrix:
     if (args.data is None) == (args.synth is None):
-        raise SpecError("exactly one of --data and --synth is required")
+        raise ValueError("exactly one of --data and --synth is required")
+    if args.synth is not None and not args.normalize:
+        raise ValueError("--no-normalize needs --data: --synth matrices are built normalized")
     if args.data is not None:
         matrix = libsvm_load(args.data)
         return normalize_gram_linf(matrix) if args.normalize else matrix
@@ -360,14 +357,14 @@ def cmd_sketch(args: argparse.Namespace) -> int:
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     if args.out is not None and args.t_grid is None:
-        raise SpecError("--out needs --t-grid: bootstrap writes only the extrapolation table")
+        raise ValueError("--out needs --t-grid: bootstrap writes only the extrapolation table")
     if args.pair is not None:
         given = [f"--{name}" for name in ("data", "synth", "kind", "t0")
                  if getattr(args, name) is not None]
         if not args.normalize:
             given.append("--no-normalize")
         if given:
-            raise SpecError(f"--pair takes the stored sketch; drop {', '.join(given)}")
+            raise ValueError(f"--pair takes the stored sketch; drop {', '.join(given)}")
     pair = load_pair(args.pair) if args.pair is not None else _sketch_pair(args)
     cfg = BootstrapConfig(args.scheme, args.boot_samples, args.alpha, args.seed)
     est = bootstrap_quantile(pair, cfg)
@@ -384,9 +381,9 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     _require(args, "t0", "qhat", "epsilon")
     if args.qhat < 0:
-        raise SpecError(f"--qhat must be nonnegative, got {args.qhat!r}")
+        raise ValueError(f"--qhat must be nonnegative, got {args.qhat!r}")
     if (args.n is None) != (args.d is None):
-        raise SpecError("--n and --d go together: give both for the budget ratio, or neither")
+        raise ValueError("--n and --d go together: give both for the budget ratio, or neither")
     # One sample is its own quantile at any level, so the estimate's value is --qhat.
     est = QuantileEstimate(args.t0, _DEFAULTS["alpha"], (args.qhat,))
     t = plan_sketch_size(est, args.epsilon)
@@ -395,7 +392,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         sizes = (("--boot-samples", args.boot_samples), ("--n", args.n), ("--d", args.d))
         for flag, value in sizes:
             if value < 1:
-                raise SpecError(f"{flag} must be at least 1, got {value}")
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         ratio = budget_check(args.boot_samples, t, args.t0, args.n, args.d)
         out += f"\nbudget_ratio = {ratio:.9g}"
     print(out)
@@ -442,11 +439,11 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints the usage line, then raises SpecError, which main logs (exit 2)."""
+    """Prints the usage line, then raises ValueError, which main logs (exit 2)."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SpecError(message)
+        raise ValueError(message)
 
     def expand_options_files(self, args: list[str], within: frozenset = frozenset()) -> list[str]:
         """Replace each ``@FILE`` argument by the flags written in FILE.
@@ -514,7 +511,7 @@ def main(argv=None) -> int:
         # leaves an existing file as it was.
         out = getattr(args, "out", None)
         if out == "":
-            raise SpecError("--out must name a file, got ''")
+            raise ValueError("--out must name a file, got ''")
         if out and (Path(out).is_dir() or not Path(out).parent.is_dir()
                     or not os.access(Path(out).parent, os.W_OK)):
             raise OSError(f"cannot write {out}: not a file in an existing, writable directory")
@@ -528,7 +525,7 @@ def main(argv=None) -> int:
     except (ZeroMatrixError, LengthSamplingError, NonFiniteResultError, MemoryError) as exc:
         LOG.error("numerical failure: %s", str(exc) or type(exc).__name__)
         return EXIT_NUMERIC
-    except ValueError as exc:  # SpecError among them
+    except ValueError as exc:
         LOG.error("%s", exc)
         return EXIT_USAGE
 

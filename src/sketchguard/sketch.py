@@ -277,14 +277,11 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
 
 
 def apply_spec(a: DenseMatrix, b: DenseMatrix, spec: SketchSpec) -> SketchPair:
-    """Dispatch on spec.kind; length sampling computes its probabilities here."""
+    """Dispatch on spec.kind; the row-sampling kinds compute their probabilities here."""
     if spec.kind is SketchKind.GAUSSIAN:
         return gaussian_sketch(a, b, spec.t, spec.seed)
-    if spec.kind is SketchKind.UNIFORM_SAMPLE:
-        n = check_same_rows(a, b)
-        probs = np.full(n, 1.0 / n)
-        return row_sample_sketch(a, b, probs, spec.t, spec.seed, kind=spec.kind)
-    if spec.kind is SketchKind.LENGTH_SAMPLE:
-        probs = length_sampling_probs(a, b)
-        return row_sample_sketch(a, b, probs, spec.t, spec.seed, kind=spec.kind)
-    return srht_sketch(a, b, spec.t, spec.seed)  # SketchSpec admits only the four kinds
+    if spec.kind is SketchKind.SRHT:
+        return srht_sketch(a, b, spec.t, spec.seed)
+    n = check_same_rows(a, b)
+    probs = length_sampling_probs(a, b) if spec.kind is SketchKind.LENGTH_SAMPLE else np.full(n, 1.0 / n)
+    return row_sample_sketch(a, b, probs, spec.t, spec.seed, kind=spec.kind)

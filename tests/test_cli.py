@@ -810,7 +810,7 @@ class TestOneRowBootstrap:
         assert out == ""
         assert "t0 must be at least 2 for the bootstrap, got 1" in caplog.text
         assert not (tmp_path / "e.csv").exists()
-        with pytest.raises(cli.SpecError, match="t0 must be at least 2"):
+        with pytest.raises(ValueError, match="t0 must be at least 2"):
             run_experiment(DenseMatrix(np.ones((4, 2))), "length", t0=1)
 
 
@@ -980,6 +980,35 @@ class TestOptionsACommandDoesNotRead:
         message = _caplog_message(caplog)
         for flag in ("--synth", "--kind", "--t0"):
             assert flag in message
+
+
+class TestNoNormalizeNeedsData:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sketch"],
+            ["bootstrap", "--t-grid", "8,16"],
+            ["oracle", "--reps", "10"],
+            ["experiment", "--oracle-reps", "10", "--reps", "2"],
+        ],
+        ids=["sketch", "bootstrap", "oracle", "experiment"],
+    )
+    def test_synth_with_no_normalize_is_usage_error_before_the_matrix_is_built(
+        self, tmp_path, capsys, caplog, monkeypatch, argv
+    ):
+        def no_synth(*args, **kwargs):
+            raise AssertionError("the matrix was built before --no-normalize was checked")
+
+        monkeypatch.setattr(cli, "synth_matrix", no_synth)
+        out_file = tmp_path / "out.file"
+        code, out = run_cli(
+            capsys, *argv, "--synth", "256,8,high", "--kind", "gaussian", "--seed", "1",
+            "--no-normalize", "--out", str(out_file),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--no-normalize needs --data" in _caplog_message(caplog)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBootstrapOut:

@@ -65,6 +65,7 @@ class TestPythonExamples:
         assert namespace["approx"].shape == (80, 80)
         printed = capsys.readouterr().out.splitlines()
         assert printed[-1] == str(namespace["sg"].plan_sketch_size(est, epsilon=0.05))
+        assert int(printed[-1]) < namespace["a"].rows  # a plan, not more rows than the data
 
         exec(compile(experiment, "README.md (run_experiment)", "exec"), namespace)
         result = namespace["result"]
