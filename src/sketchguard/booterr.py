@@ -11,9 +11,9 @@ only in the weights:
   minus one, which reproduces the error of the jointly resampled product.
 
 The B weight vectors are the rows of one (B, t) matrix read row-major from
-one Philox stream, which no sketch kind reads, and each block of rows is
-scored by batched products. When A~ and B~ are one matrix each product is
-symmetric, so only its upper block triangle is computed.
+one Philox stream, which no sketch kind reads. Each block of rows weights B~
+in one einsum pass and is scored by batched products. When A~ and B~ are one
+matrix each product is symmetric, so only its upper block triangle is computed.
 
 The (1 - alpha) interpolated quantile of B such samples estimates the
 tightest error bound holding with probability 1 - alpha at the current
@@ -99,25 +99,31 @@ class QuantileEstimate:
         if min(self.samples) < 0.0:
             raise ValueError("bootstrap samples are nonnegative")
 
+    @property
+    def coverage_ceiling(self) -> float:
+        """h/(B + 1) at value's rank h = (B - 1)(1 - alpha) + 1: its coverage from exact samples."""
+        return ((len(self.samples) - 1) * (1.0 - self.alpha) + 1.0) / (len(self.samples) + 1)
+
 
 def multiplier_error(pair: SketchPair, weights) -> np.ndarray:
     """Perturbation errors for a (B, t) matrix of weights, one per row.
 
     Row b gives max-abs of (xibar * (A~^T B~) - A~^T diag(xi) B~) for its
     weights xi, without materializing diag(xi): the two terms combine into
-    one product of A~^T with the rows of B~ scaled by (xibar - xi), and the
-    B products run as batched matmuls. When the pair is one matrix that
-    product is symmetric, so its d columns split into up to four row groups
-    of at least 16, and group [lo, hi) is multiplied only into columns lo
-    onward: the upper block triangle holds the same max-abs at 5/8 of the
-    flops for four groups. Two matrices, or d < 32, run one full group.
+    one product of A~^T with the rows of B~ scaled by (xibar - xi), built in
+    one einsum pass, and the B products run as batched matmuls. When the
+    pair is one matrix that product is symmetric, so its d columns split into
+    up to four row groups of at least 16, and group [lo, hi) is multiplied
+    only into columns lo onward: the upper block triangle holds the same
+    max-abs at 5/8 of the flops for four groups. Two matrices, or d < 32, run
+    one full group.
     """
     w = np.asarray(weights, dtype=np.float64)
     t = pair.t
     if w.ndim != 2 or w.shape[1] != t:
         raise ValueError(f"weights must have shape (B, {t}), got {w.shape}")
     a, b = pair.a_sketch.array, pair.b_sketch.array
-    scaled = (w.mean(axis=1, keepdims=True) - w)[:, :, None] * b
+    scaled = np.einsum("bt,td->btd", w.mean(axis=1, keepdims=True) - w, b)
     d = a.shape[1]
     groups = max(1, min(4, d // 16)) if pair.b_sketch is pair.a_sketch else 1
     out = None

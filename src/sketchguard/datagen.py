@@ -206,8 +206,11 @@ def _parse_plain(chunk: str, lines: list[str], expected_features: int | None):
         return None
     colons = np.array([line.count(":") for line in lines if line.strip()], dtype=np.int64)
     widths = 1 + 2 * colons
-    # fromstring would read whitespace alone as [-1.]
-    nums = np.fromstring(chunk.replace(":", " "), sep=" ") if colons.size else np.zeros(0)
+    flat = chunk.replace(":", " ").replace("\n", " ")  # one row: loadtxt takes no ragged rows
+    try:  # loadtxt would warn on whitespace alone
+        nums = np.loadtxt([flat], comments=None, ndmin=1) if colons.size else np.zeros(0)
+    except ValueError:
+        return None
     if nums.size != widths.sum():
         return None
     idx, val = np.delete(nums, np.cumsum(widths) - widths).reshape(-1, 2).T  # drop labels
@@ -228,8 +231,9 @@ def libsvm_load(path, expected_features: int | None = None) -> DenseMatrix:
     index seen. Parse failures raise MalformedTokenError,
     NonIncreasingIndexError, or FeatureIndexRangeError with the line number.
 
-    Plain decimal chunks are parsed and checked in bulk C passes; any other
-    chunk, or one a bulk check rejects, goes token by token to the same result.
+    Plain decimal chunks are parsed and checked in bulk C passes, the numbers
+    read by np.loadtxt as one row; any other chunk, or one a bulk check or
+    loadtxt rejects, goes token by token to the same result.
     """
     if expected_features is not None and expected_features < 1:
         raise ValueError("expected_features must be at least 1")

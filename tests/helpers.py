@@ -105,3 +105,23 @@ def dyad_form_error(pair: SketchPair, xi: np.ndarray) -> float:
         dyad = t * np.outer(a[i], b[i])
         accum += xi[i] * (dyad - product)
     return float(np.abs(accum / t).max())
+
+
+def broadcast_multiplier_error(pair: SketchPair, weights: np.ndarray) -> np.ndarray:
+    """The bootstrap kernel with its weighted sketch built by a 3-operand broadcast multiply.
+
+    Row b scales the rows of B~ by (xibar - xi) as ``c[:, :, None] * b``, then
+    takes the same triangle split and products as ``multiplier_error``.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    a, b = pair.a_sketch.array, pair.b_sketch.array
+    scaled = (w.mean(axis=1, keepdims=True) - w)[:, :, None] * b
+    d = a.shape[1]
+    groups = max(1, min(4, d // 16)) if pair.b_sketch is pair.a_sketch else 1
+    out = None
+    for k in range(groups):
+        lo = k * d // groups
+        m = np.matmul(a[:, lo : (k + 1) * d // groups].T, scaled[:, :, lo:])
+        top = np.abs(m, out=m).max(axis=(1, 2))
+        out = top if out is None else np.maximum(out, top, out=out)
+    return out

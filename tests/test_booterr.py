@@ -35,7 +35,7 @@ def make_pair(t: int, d: int, dp: int, seed: int = 0) -> SketchPair:
     )
 
 
-from helpers import dyad_form_error, resample_error  # noqa: E402
+from helpers import broadcast_multiplier_error, dyad_form_error, resample_error  # noqa: E402
 
 
 class TestMultiplierSample:
@@ -437,6 +437,51 @@ class TestOneMatrixPair:
             assert large.samples[:k] == small.samples, (n, d, t, k)
 
 
+def kernel_pairs(seed: int):
+    """One- and two-matrix pairs over d in {1, 5, 16, 31, 32, 64, 80}, t below and above d.
+
+    Each sketch has a zero row and some -0.0 entries, so some products are +-0.0.
+    """
+    rng = np.random.default_rng(seed)
+    for d in (1, 5, 16, 31, 32, 64, 80):
+        for t in (max(2, d // 2), d + int(rng.integers(1, 9))):
+            a, b = rng.standard_normal((t, d)), rng.standard_normal((t, int(rng.integers(1, 81))))
+            for m in (a, b):
+                m[rng.integers(t)] = 0.0
+                m[rng.random(m.shape) < 0.05] = -0.0
+            spec = SketchSpec(SketchKind.GAUSSIAN, t, 0)
+            one = DenseMatrix(a)
+            yield SketchPair(one, one, spec, source_rows=100)
+            yield SketchPair(DenseMatrix(a), DenseMatrix(b), spec, source_rows=100)
+
+
+class TestKernelBits:
+    """multiplier_error equals the broadcast formulation bit for bit."""
+
+    def test_fixed_weights_match_the_broadcast_kernel(self):
+        rng = np.random.default_rng(48)
+        for pair in kernel_pairs(49):
+            t = pair.t
+            normal = rng.standard_normal((5, t))
+            counts = np.array([np.bincount(rng.integers(0, t, t), minlength=t) for _ in range(5)])
+            # a constant row weights every row of B~ by zero, and counts of 1 weight theirs so
+            constant = np.full((1, t), 3.0)
+            for w in (normal, counts - 1, constant, counts):
+                got, want = multiplier_error(pair, w), broadcast_multiplier_error(pair, w)
+                assert got.tobytes() == want.tobytes(), (t, pair.a_sketch.cols, pair.b_sketch.cols)
+            assert multiplier_error(pair, constant).tolist() == [0.0]
+
+    @pytest.mark.parametrize("scheme", list(BootstrapScheme))
+    def test_samples_across_a_block_boundary_match_the_broadcast_kernel(self, scheme):
+        for trial, pair in enumerate(kernel_pairs(50)):
+            t, da, db = pair.t, pair.a_sketch.cols, pair.b_sketch.cols
+            block = max(1, booterr.MAX_BOOT_BLOCK_ENTRIES // (max(t, da) * db))
+            cfg = BootstrapConfig(scheme, block + 3, 0.05, trial)
+            w = booterr._weights(scheme, substream(cfg.seed, BOOT_STREAM_KEY), cfg.replicates, t)
+            want = broadcast_multiplier_error(pair, w)
+            assert bootstrap_quantile(pair, cfg).samples == tuple(want.tolist()), (t, da, db)
+
+
 class TestStreamsIndependentOfSketch:
     """A sketch and a bootstrap given the same seed must not share draws."""
 
@@ -509,6 +554,21 @@ class TestQuantileEstimateType:
             QuantileEstimate(4, alpha, (1.0, 2.0))
         with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1/2\), got "):
             BootstrapConfig(BootstrapScheme.MULTIPLIER, 20, alpha, 0)
+
+
+class TestCoverageCeiling:
+    @pytest.mark.parametrize("replicates,alpha,ceiling", [(20, 0.01, 0.943), (200, 0.1, 0.896)])
+    def test_ceiling_matches_simulated_coverage(self, replicates, alpha, ceiling):
+        # B samples and one fresh error from one law; for the uniform law the
+        # interpolated quantile's mean coverage is exactly h/(B + 1)
+        trials = 4000
+        draws = np.random.default_rng(51).random((trials, replicates + 1))
+        ests = [QuantileEstimate(4, alpha, row[:replicates]) for row in draws]
+        covered = np.mean([row[-1] <= est.value for row, est in zip(draws, ests)])
+        got = ests[0].coverage_ceiling
+        assert round(got, 3) == ceiling
+        assert got == ((replicates - 1) * (1 - alpha) + 1) / (replicates + 1)
+        assert abs(covered - got) <= 3 * math.sqrt(got * (1 - got) / trials)
 
 
 class TestExtrapolation:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import linf_norm, stable_rank
+from sketchguard import datagen
 from sketchguard.datagen import (
     FeatureIndexRangeError,
     LibsvmParseError,
@@ -157,15 +158,34 @@ class TestLibsvmLoad:
     def test_bulk_count_mismatch_falls_back_to_token_parse(self, tmp_path, monkeypatch):
         f = tmp_path / "tiny.txt"
         f.write_text("1 1:0.5 3:2.0\n-1 2:1.0\n", encoding="utf-8")
-        real, calls = np.fromstring, []
+        real, calls = np.loadtxt, []
 
-        def short_by_one(text, sep):
-            calls.append(text)
-            return real(text, sep=sep)[:-1]
+        def short_by_one(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)[:-1]
 
-        monkeypatch.setattr(np, "fromstring", short_by_one)
+        monkeypatch.setattr(np, "loadtxt", short_by_one)
         assert libsvm_load(f).array.tolist() == [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]]
         assert len(calls) == 1
+
+    def test_bulk_read_error_falls_back_to_token_parse(self, tmp_path, monkeypatch):
+        f = tmp_path / "tiny.txt"
+        f.write_text("1 1:0.5 3:2.0\n\n-1 2:1.0\n", encoding="utf-8")
+        want = libsvm_load(f).array
+        checked, real_line = [], datagen._parse_line
+
+        def refuse(*args, **kwargs):
+            raise ValueError("could not convert string to float64")
+
+        def checker(line, line_no, *args):
+            checked.append(line_no)
+            return real_line(line, line_no, *args)
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(datagen, "_parse_line", checker)
+        got = libsvm_load(f).array
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert checked == [1, 2, 3]
 
     def test_label_only_line_is_zero_row(self, tmp_path):
         f = tmp_path / "zrow.txt"

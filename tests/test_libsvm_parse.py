@@ -293,7 +293,50 @@ def test_plain_file_never_reaches_the_token_checker(tmp_path, bulk_only):
 
 
 def test_a_chunk_of_blank_lines_stays_on_the_bulk_path(tmp_path, bulk_only):
-    # fromstring would read a chunk of whitespace alone as one number, -1
+    # a chunk of whitespace alone holds no numbers, which the bulk path reads as none
     path = tmp_path / "blank.txt"
     path.write_text("1 1:1\n" + " \n" * (2 * _CHUNK_CHARS) + "-1 2:2\n", encoding="utf-8")
     assert libsvm_load(path).array.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+
+
+# Plain decimals the grammar gate passes to the bulk reader: signs, a leading
+# or trailing ".", signed exponents, 17 digits and the ends of the float range.
+PLAIN_DECIMALS = (
+    "0", "-0", "+0.", "-0.0", ".5", "-.5", "+.5", "5.", "-5.", "+5.", "1e5", "1E+5", "-2.5e-3",
+    "+7.25E-07", ".5e+2", "-5.e-1", "0.12345678901234567", "12345678901234567",
+    "1e-320", "-1e-320", "4.9e-324", "-4.9e-324", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "-1.7976931348623157E+308",
+)
+
+
+def test_bulk_values_equal_float_bit_for_bit(tmp_path, bulk_only):
+    rng = np.random.default_rng(2031)
+    scaled = rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000)
+    tokens = list(PLAIN_DECIMALS) * 40 + [f"{v:.17g}" for v in scaled]
+    rng.shuffle(tokens)
+    lines, want = [], np.zeros((len(tokens) // 6, 8))
+    for r in range(want.shape[0]):
+        vals = tokens[6 * r : 6 * r + 6]
+        idx = np.sort(rng.choice(8, 6, replace=False)) + 1
+        label = str(rng.choice(PLAIN_DECIMALS))
+        lines.append(" ".join([label] + [f"{i}:{v}" for i, v in zip(idx, vals)]))
+        want[r, idx - 1] = [float(v) for v in vals]
+    path = tmp_path / "decimals.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert path.stat().st_size > 3 * _CHUNK_CHARS
+    assert libsvm_load(path, expected_features=8).array.tobytes() == want.tobytes()
+
+
+def test_bulk_indices_up_to_2_53_minus_1_are_exact(tmp_path, bulk_only):
+    rng = np.random.default_rng(2032)
+    top = 2**53 - 1
+    rows = [sorted({int(i) for i in rng.integers(1, top, 5)} | {top}) for _ in range(200)]
+    chunk = "".join(" ".join(["1"] + [f"{i}:1" for i in row]) + "\n" for row in rows)
+    count, row, idx, val = datagen._parse_plain(chunk, chunk.split("\n")[:-1], None)
+    assert count == 200 and idx.tolist() == [i for r in rows for i in r]
+    # from 2^53 on, a float cannot tell neighbouring indices apart
+    assert datagen._parse_plain(f"1 {top + 1}:1\n", [f"1 {top + 1}:1"], None) is None
+    path = tmp_path / "top.txt"
+    path.write_text(f"1 1:1 {top}:2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"dense matrix of 1x{top} exceeds"):
+        libsvm_load(path)
