@@ -101,6 +101,12 @@ def default_t_grid(d: int) -> tuple[int, ...]:
     return tuple(int(t) for t in grid)
 
 
+def _sorted_grid(ts: tuple[int, ...], t0: int) -> tuple[int, ...]:
+    if min(ts, default=t0) < t0:
+        LOG.warning("t_grid contains sizes below t0=%d; extrapolation there runs backwards", t0)
+    return tuple(sorted(set(ts)))
+
+
 @dataclass
 class ExperimentResult:
     """Oracle curve plus per-t extrapolated-estimate statistics and coverage."""
@@ -151,12 +157,10 @@ def run_experiment(
     t0 = t0 if t0 is not None else _default_t0(d)
     if t0 < 2:
         raise ValueError(f"t0 must be at least 2 for the bootstrap, got {t0}")
-    grid = tuple(sorted(set(t_grid))) if t_grid is not None else default_t_grid(d)
     # Built before the oracle, so bad parameters fail before any work; each rep re-seeds boot.
     sketch = SketchSpec(kind, t0, seed)
     boot = BootstrapConfig(scheme, boot_samples, alpha, seed)
-    if grid and grid[0] < t0:
-        LOG.warning("t_grid contains sizes below t0=%d; extrapolation there runs backwards", t0)
+    grid = _sorted_grid(t_grid if t_grid is not None else default_t_grid(d), t0)
     LOG.info(
         "experiment: %dx%d matrix, kind=%s, t0=%d, grid=%s",
         matrix.rows, d, sketch.kind.value, t0, list(grid),
@@ -370,7 +374,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     est = bootstrap_quantile(pair, cfg)
     print(f"q_hat({est.t0}) = {est.value:.9g}")
     if args.t_grid:
-        rows = [(t, extrapolate(est, t)) for t in sorted(set(args.t_grid))]
+        rows = [(t, extrapolate(est, t)) for t in _sorted_grid(args.t_grid, est.t0)]
         for t, value in rows:
             print(f"q_ext({t}) = {value:.9g}")
         if args.out is not None:
@@ -394,6 +398,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1, got {value}")
         ratio = budget_check(args.boot_samples, t, args.t0, args.n, args.d)
+        if t >= args.n:
+            LOG.warning("t = %d is not below the %d source rows: sketching saves nothing", t, args.n)
         out += f"\nbudget_ratio = {ratio:.9g}"
     print(out)
     return EXIT_OK

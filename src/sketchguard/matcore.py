@@ -51,10 +51,10 @@ class DenseMatrix:
         self._a = _validated(a)
 
     @classmethod
-    def _wrap(cls, a: np.ndarray) -> "DenseMatrix":
-        # Internal fast path: adopt an owned, computed array without copying.
+    def _wrap(cls, a: np.ndarray, what: str = "a computed matrix") -> "DenseMatrix":
+        # Internal fast path: adopt an owned, computed array without copying; its overflow names what.
         m = object.__new__(cls)
-        m._a = _validated(np.ascontiguousarray(a, dtype=np.float64), computed=True)
+        m._a = _validated(np.ascontiguousarray(a, dtype=np.float64), what)
         return m
 
     @property
@@ -79,13 +79,13 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
-def _validated(a: np.ndarray, computed: bool = False) -> np.ndarray:
+def _validated(a: np.ndarray, what: str | None = None) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix must have at least one row and one column, got shape {a.shape}")
-    if computed:
-        check_finite_result(a, "a computed matrix")
+    if what is not None:  # a computed matrix: out of range, not bad input
+        check_finite_result(a, what)
     elif not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     a.flags.writeable = False
@@ -103,5 +103,4 @@ def matmul_t(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Return the d x d' product of a's transpose with b; rows must match."""
     check_same_rows(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        product = a.array.T @ b.array
-    return DenseMatrix._wrap(check_finite_result(product, "the exact product A^T B"))
+        return DenseMatrix._wrap(a.array.T @ b.array, "the exact product A^T B")

@@ -95,9 +95,7 @@ class SketchPair:
         """Read-only cached product of a_sketch's transpose with b_sketch."""
         with np.errstate(over="ignore", invalid="ignore"):
             p = self.a_sketch.array.T @ self.b_sketch.array
-        check_finite_result(p, "the sketched product")
-        p.flags.writeable = False
-        return p
+        return DenseMatrix._wrap(p, "the sketched product").array
 
 
 def gaussian_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair:
@@ -124,8 +122,8 @@ def gaussian_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> Sketch
             np.matmul(s_block, a.array, out=out_a[start:stop])
             if out_b is not out_a:
                 np.matmul(s_block, b.array, out=out_b[start:stop])
-    a_sk = DenseMatrix._wrap(out_a)
-    b_sk = a_sk if out_b is out_a else DenseMatrix._wrap(out_b)
+    a_sk = DenseMatrix._wrap(out_a, "the sketch")
+    b_sk = a_sk if out_b is out_a else DenseMatrix._wrap(out_b, "the sketch")
     return SketchPair(a_sk, b_sk, spec, n)
 
 
@@ -172,8 +170,8 @@ def row_sample_sketch(
     idx = substream(seed, 0).choice(n, t, p=p)
     scale = 1.0 / np.sqrt(t * p[idx])
     with np.errstate(over="ignore"):  # an overflowing row raises NonFiniteResultError in _wrap
-        a_sk = DenseMatrix._wrap(a.array[idx] * scale[:, None])
-        b_sk = a_sk if b is a else DenseMatrix._wrap(b.array[idx] * scale[:, None])
+        a_sk = DenseMatrix._wrap(a.array[idx] * scale[:, None], "the sketch")
+        b_sk = a_sk if b is a else DenseMatrix._wrap(b.array[idx] * scale[:, None], "the sketch")
     return SketchPair(a_sk, b_sk, spec, n)
 
 
@@ -271,8 +269,8 @@ def srht_sketch(a: DenseMatrix, b: DenseMatrix, t: int, seed: int) -> SketchPair
     # A and B go through separate GEMMs of the same shapes, so equal inputs
     # give bitwise-equal sketches. _wrap raises on an overflowing product.
     with np.errstate(over="ignore", invalid="ignore"):
-        a_sk = DenseMatrix._wrap(kept(a.array))
-        b_sk = a_sk if b is a else DenseMatrix._wrap(kept(b.array))
+        a_sk = DenseMatrix._wrap(kept(a.array), "the sketch")
+        b_sk = a_sk if b is a else DenseMatrix._wrap(kept(b.array), "the sketch")
     return SketchPair(a_sk, b_sk, spec, n)
 
 

@@ -32,6 +32,10 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def logged_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+
 class TestPlanCommand:
     def test_worked_example(self, capsys):
         code, out = run_cli(
@@ -57,6 +61,17 @@ class TestPlanCommand:
         # the ratio is evaluated at the planned size t = 8000
         want = 20 / (8000 / 500 + 30000 * math.log(8000) / (1000 * 500))
         assert ratio == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("n, warned", [(25000, True), (25001, False)], ids=["t-is-n", "t-below-n"])
+    def test_planned_size_not_below_the_source_rows_warns(self, capsys, caplog, n, warned):
+        code, out = run_cli(
+            capsys, "plan", "--t0", "10", "--qhat", "0.5", "--epsilon", "0.01",
+            "--n", str(n), "--d", "5",
+        )
+        assert code == 0
+        assert out.startswith("t = 25000\nbudget_ratio = ")
+        want = f"t = 25000 is not below the {n} source rows: sketching saves nothing"
+        assert logged_warnings(caplog) == ([want] if warned else [])
 
     def test_missing_required_flag(self, capsys):
         code, _ = run_cli(capsys, "plan", "--t0", "500", "--epsilon", "0.05")
@@ -156,6 +171,21 @@ class TestSketchAndBootstrapCommands:
         lines = csv_file.read_text().splitlines()
         assert lines[0] == "t,q_ext"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "low, line, warned",
+        [(2, "q_ext(2) = 1.24172505", True), (4, "q_ext(4) = 0.878032201", False)],
+        ids=["below", "from"],
+    )
+    def test_bootstrap_grid_below_t0_warns_and_prints_the_same(self, capsys, caplog, low, line, warned):
+        code, out = run_cli(
+            capsys, "bootstrap", "--synth", "256,8,high", "--kind", "gaussian", "--seed", "1",
+            "--t-grid", f"{low},16",
+        )
+        assert code == 0
+        assert out == f"q_hat(4) = 0.878032201\n{line}\nq_ext(16) = 0.439016101\n"
+        want = "t_grid contains sizes below t0=4; extrapolation there runs backwards"
+        assert logged_warnings(caplog) == ([want] if warned else [])
 
     def test_pair_roundtrip_preserves_bits(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -364,8 +394,7 @@ class TestExperiment:
 
     def test_grid_below_t0_logs_one_warning(self, caplog):
         self.small_experiment(t_grid=(4, 8, 16), oracle_reps=10, estimator_reps=2)()
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings == [
+        assert logged_warnings(caplog) == [
             "t_grid contains sizes below t0=8; extrapolation there runs backwards"
         ]
 

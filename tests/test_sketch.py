@@ -500,6 +500,16 @@ class TestNonFiniteSketches:
             with pytest.raises(NonFiniteResultError):
                 sketcher(a)
 
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [(SketchKind.GAUSSIAN, (64, 1)), (SketchKind.UNIFORM_SAMPLE, (8, 1)), (SketchKind.SRHT, (8, 2))],
+        ids=["gaussian", "uniform", "srht"],
+    )
+    def test_overflowing_sketch_names_the_sketch(self, kind, shape):
+        a = DenseMatrix(np.full(shape, 1e308))
+        with pytest.raises(NonFiniteResultError, match="^the sketch is not finite"):
+            apply_spec(a, a, SketchSpec(kind, 2, 1))
+
     def test_overflowing_length_weights_raise(self):
         # every weight is about 1e308, finite, but their sum is not
         a = DenseMatrix(np.full((8, 1), 1e154))
@@ -507,6 +517,20 @@ class TestNonFiniteSketches:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteResultError, match="length-sampling weights"):
                 length_sampling_probs(a, a)
+
+
+class TestSketchedProduct:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-matrix", "two-matrix"])
+    def test_is_the_exact_product_of_the_sketches_read_only_and_cached(self, kind, shared):
+        rng = np.random.default_rng(4)
+        a = DenseMatrix(rng.standard_normal((40, 3)))
+        b = a if shared else DenseMatrix(rng.standard_normal((40, 5)))
+        pair = apply_spec(a, b, SketchSpec(kind, 12, 2))
+        product = pair.sketched_product
+        np.testing.assert_array_equal(product, matmul_t(pair.a_sketch, pair.b_sketch).array)
+        assert not product.flags.writeable
+        assert pair.sketched_product is product
 
 
 class TestApplySpec:
