@@ -96,18 +96,24 @@ def mvt_rows(n: int, d: int, nu: float = 2.0, seed: int = 0) -> DenseMatrix:
     by sqrt(w / nu) with L the Cholesky factor, z standard normal, and w
     chi-square with nu degrees of freedom.
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if n < 1 or d < 1 or not 0 < nu < math.inf:
+        raise ValueError(f"need n, d >= 1 and a positive, finite nu; got n={n}, d={d}, nu={nu}")
     idx = np.arange(d)
-    scale = 2.0 * 0.5 ** np.abs(idx[:, None] - idx[None, :])
-    chol = np.linalg.cholesky(scale)
-    g = substream(seed)
-    z = g.standard_normal((n, d))
-    w = g.chisquare(nu, n)
-    rows = (z @ chol.T) / np.sqrt(w / nu)[:, None]
+    chol = np.linalg.cholesky(2.0 * 0.5 ** np.abs(idx[:, None] - idx[None, :]))
+    g, rows = substream(seed), np.empty((n, d))
+    _times_in_place(g.standard_normal(out=rows), chol.T)
+    rows /= np.sqrt(g.chisquare(nu, n) / nu)[:, None]
     return DenseMatrix._wrap(rows)
+
+
+def _times_in_place(x: np.ndarray, m: np.ndarray) -> None:
+    """x <- x m in row blocks of at most 2^17 entries, none small, so rows round as in one GEMM.
+
+    2^17 is also the bootstrap's block cap: once a block this size is freed, glibc keeps
+    blocks this size on its heap, so a later bootstrap reuses warm pages, not fresh ones.
+    """
+    for blk in np.array_split(x, -(-len(x) // max(1, (1 << 17) // x.shape[1]))):
+        blk[...] = blk @ m
 
 
 def singular_value_profile(mode: RankMode, d: int) -> np.ndarray:
@@ -130,6 +136,16 @@ def _signed_q(x: np.ndarray) -> np.ndarray:
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
+def _positive_qr_times(x: np.ndarray, tail: np.ndarray) -> None:
+    """Overwrite x = QR, R's diagonal positive, with Q tail: shifted CholeskyQR3 on d x d Grams."""
+    n, d = x.shape
+    for p, right in enumerate([np.eye(d)] * 2 + [tail]):
+        gram = x.T @ x
+        if p == 0:  # Fukaya et al.'s shift: positive definite while cond(x) < 1/eps
+            gram.flat[:: d + 1] += 11 * (n * d + d * (d + 1)) * np.finfo(float).eps * np.trace(gram)
+        _times_in_place(x, np.linalg.solve(np.linalg.cholesky(gram).T, right))
+
+
 def synth_matrix(profile: SynthProfile) -> DenseMatrix:
     """Synthetic n x d matrix with the profile's singular values.
 
@@ -140,10 +156,11 @@ def synth_matrix(profile: SynthProfile) -> DenseMatrix:
     column rank with probability one.
     """
     sigma = singular_value_profile(profile.rank_mode, profile.d)
-    x = mvt_rows(profile.n, profile.d, 2.0, derive_seed(profile.seed, 0, 0))
+    x = mvt_rows(profile.n, profile.d, 2.0, derive_seed(profile.seed, 0, 0)).array
+    x.flags.writeable = True  # a fresh array no one else holds: U and the result are built in it
     g = substream(derive_seed(profile.seed, 1, 0)).standard_normal((profile.d, profile.d))
-    a = (_signed_q(x.array) * sigma[None, :]) @ _signed_q(g).T
-    return normalize_gram_linf(DenseMatrix._wrap(a))
+    _positive_qr_times(x, sigma[:, None] * _signed_q(g).T)
+    return DenseMatrix._wrap(_normalized(x, out=x))
 
 
 def normalize_gram_linf(a: DenseMatrix) -> DenseMatrix:
@@ -154,12 +171,17 @@ def normalize_gram_linf(a: DenseMatrix) -> DenseMatrix:
     scaling is exact and cancels in the division, so it changes no bit of the
     result for inputs whose Gram was representable before.
     """
-    top = max(float(a.array.max()), -float(a.array.min()))
+    return DenseMatrix._wrap(_normalized(a.array))
+
+
+def _normalized(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """normalize_gram_linf's entries of a, written to out when given."""
+    top = max(float(a.max()), -float(a.min()))
     if top == 0.0:
         raise ZeroMatrixError("cannot normalize the zero matrix")
-    scaled = np.ldexp(a.array, -math.frexp(top)[1])
+    scaled = np.ldexp(a, -math.frexp(top)[1], out=out)
     scaled /= math.sqrt(float(np.abs(scaled.T @ scaled).max()))
-    return DenseMatrix._wrap(scaled)
+    return scaled
 
 
 def _parse_line(line: str, line_no: int, expected_features: int | None, indices, values):

@@ -1,6 +1,7 @@
 """Synthetic matrix generation and LIBSVM parsing tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,21 @@ from sketchguard.datagen import (
     synth_matrix,
 )
 from sketchguard.matcore import DenseMatrix, ZeroMatrixError, matmul_t
+from sketchguard.parallel import openblas_threads
 from sketchguard.rng import derive_seed, substream
+
+
+def positive_q(x: np.ndarray) -> np.ndarray:
+    """Q = X R^-1, R^T the Cholesky factor of X^T X: the one QR whose R has a positive diagonal."""
+    return np.linalg.solve(np.linalg.cholesky(x.T @ x), x.T).T
+
+
+def synth_by_definition(p: SynthProfile, q=positive_q) -> np.ndarray:
+    """synth_matrix's entries computed from its definition, with ``q`` as the factoring."""
+    x = mvt_rows(p.n, p.d, 2.0, derive_seed(p.seed, 0, 0)).array
+    g = substream(derive_seed(p.seed, 1, 0)).standard_normal((p.d, p.d))
+    sigma = singular_value_profile(p.rank_mode, p.d)
+    return normalize_gram_linf(DenseMatrix((q(x) * sigma) @ q(g).T)).array
 
 
 def libsvm_write(path, matrix: DenseMatrix, labels=None) -> None:
@@ -67,8 +82,20 @@ class TestMvtRows:
     def test_validation(self):
         with pytest.raises(ValueError):
             mvt_rows(0, 3)
-        with pytest.raises(ValueError):
-            mvt_rows(3, 3, nu=0.0)
+        # NaN passes a plain nu <= 0 check, and inf draws infinite chi-square weights
+        for nu in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"nu={nu}"):
+                mvt_rows(3, 3, nu=nu)
+
+    def test_row_blocks_keep_the_bits_of_one_product(self):
+        # the rows are multiplied in blocks; 8193 rows of 64 make several, none small
+        n, d, nu, seed = 8193, 64, 2.0, 3
+        idx = np.arange(d)
+        chol = np.linalg.cholesky(2.0 * 0.5 ** np.abs(idx[:, None] - idx[None, :]))
+        g = substream(seed)
+        z = g.standard_normal((n, d))
+        want = (z @ chol.T) / np.sqrt(g.chisquare(nu, n) / nu)[:, None]
+        np.testing.assert_array_equal(mvt_rows(n, d, nu, seed).array, want)
 
 
 class TestSingularValueProfile:
@@ -116,16 +143,72 @@ class TestSynthMatrix:
     def test_factors_are_the_unique_qr_with_positive_r_diagonal(self):
         # Q = X R^-1 with R^T the Cholesky factor of X^T X is the one QR whose
         # R has a positive diagonal, whatever sign convention LAPACK uses.
-        def positive_q(x):
-            return np.linalg.solve(np.linalg.cholesky(x.T @ x), x.T).T
-
         for mode in (RankMode.LOW, RankMode.HIGH):
             p = SynthProfile(96, 6, mode, 11)
-            x = mvt_rows(p.n, p.d, 2.0, derive_seed(p.seed, 0, 0)).array
-            g = substream(derive_seed(p.seed, 1, 0)).standard_normal((p.d, p.d))
-            sigma = singular_value_profile(mode, p.d)
-            want = normalize_gram_linf(DenseMatrix((positive_q(x) * sigma) @ positive_q(g).T))
-            np.testing.assert_allclose(synth_matrix(p).array, want.array, rtol=0, atol=1e-9)
+            want = synth_by_definition(p)
+            np.testing.assert_allclose(synth_matrix(p).array, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", list(RankMode))
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_square_profiles_match_the_definition(self, d, mode):
+        # n = d gives the worst-conditioned Grams, cond(X) up to about 2e6 at 64 x 64. One
+        # Cholesky of X^T X loses cond(X)^2 eps there, so the reference applies the
+        # definition twice: X R1^-1 R2^-1 is X R^-1 for R = R2 R1, the same unique R.
+        for seed in range(20):
+            p = SynthProfile(d, d, mode, seed)
+            want = synth_by_definition(p, lambda x: positive_q(positive_q(x)))
+            np.testing.assert_allclose(synth_matrix(p).array, want, rtol=0, atol=1e-9)
+
+    def test_factoring_keeps_q_orthonormal_where_plain_cholesky_qr2_breaks_down(self):
+        # singular values graded from 1 to 1e-10: the Gram's condition is about 1e20 > 1/eps
+        x0 = mvt_rows(500, 20, 2.0, 1).array
+        u, _, vt = np.linalg.svd(x0, full_matrices=False)
+        x = (u * np.logspace(0, -10, 20)) @ vt
+        assert np.linalg.cond(x) > 1e9
+
+        def orthogonality(q):
+            return np.abs(q.T @ q - np.eye(20)).max()
+
+        def plain_cholesky_qr2(y):
+            for _ in range(2):
+                y = np.linalg.solve(np.linalg.cholesky(y.T @ y), y.T).T
+            return y
+
+        try:
+            assert orthogonality(plain_cholesky_qr2(x)) > 1e-12
+        except np.linalg.LinAlgError:
+            pass  # its first Gram is not positive definite in floating point
+        q = x.copy()
+        datagen._positive_qr_times(q, np.eye(20))
+        assert orthogonality(q) <= 1e-12
+        r = q.T @ x  # the factor R of x = QR: upper triangular with a positive diagonal
+        assert np.abs(np.tril(r, -1)).max() <= 1e-12 * np.abs(r).max()
+        assert (np.diag(r) > 0).all()
+
+    def test_peak_memory_is_the_result_and_row_blocks(self):
+        p = SynthProfile(8192, 64, RankMode.LOW, 5)
+        tracemalloc.start()
+        try:
+            m = synth_matrix(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * m.array.nbytes
+
+    def test_bits_do_not_depend_on_the_openblas_thread_count(self):
+        # the Gram products sum over all n rows, where OpenBLAS may split work among threads
+        blas = openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count functions")
+        get, set_ = blas
+        p, saved, built = SynthProfile(4096, 64, RankMode.HIGH, 6), get(), []
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                built.append(synth_matrix(p).array)
+        finally:
+            set_(saved)
+        np.testing.assert_array_equal(built[0], built[1])
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
