@@ -65,7 +65,6 @@ __all__ = [
     "save_pair",
     "load_pair",
     "main",
-    "entry",
 ]
 
 LOG = logging.getLogger("sketchguard")
@@ -536,9 +535,5 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

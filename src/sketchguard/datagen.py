@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .booterr import MAX_BOOT_BLOCK_ENTRIES
 from .matcore import DenseMatrix, ZeroMatrixError
 from .rng import check_seed, derive_seed, substream
 
@@ -109,10 +110,10 @@ def mvt_rows(n: int, d: int, nu: float = 2.0, seed: int = 0) -> DenseMatrix:
 def _times_in_place(x: np.ndarray, m: np.ndarray) -> None:
     """x <- x m in row blocks of at most 2^17 entries, none small, so rows round as in one GEMM.
 
-    2^17 is also the bootstrap's block cap: once a block this size is freed, glibc keeps
-    blocks this size on its heap, so a later bootstrap reuses warm pages, not fresh ones.
+    The cap is the bootstrap's own MAX_BOOT_BLOCK_ENTRIES: once a block this size is freed,
+    glibc keeps blocks this size on its heap, so a later bootstrap reuses warm pages.
     """
-    for blk in np.array_split(x, -(-len(x) // max(1, (1 << 17) // x.shape[1]))):
+    for blk in np.array_split(x, -(-len(x) // max(1, MAX_BOOT_BLOCK_ENTRIES // x.shape[1]))):
         blk[...] = blk @ m
 
 

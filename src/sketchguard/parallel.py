@@ -3,10 +3,10 @@
 ``thread_policy`` sets the worker count for one command or library run, and is the
 only reader of ``SKETCHGUARD_THREADS``: ``N`` means N workers (``0`` one per usable
 core); unset, one per usable core for every sketch kind if numpy's OpenBLAS exposes
-its thread-count functions (looked up once with ``ctypes``), else one. With more than
-one worker, OpenBLAS runs on one thread for the whole run, data build included, as its
-spinning workers compete with the pool. Items draw from streams keyed by their index,
-so output is byte-identical at any setting.
+its thread-count functions (looked up once with ``ctypes``), else one. OpenBLAS runs on
+one thread for the whole run, data build included, at any worker count: its spinning
+workers compete with the pool, and its thread count sets how it sums. Items draw from
+streams keyed by their index, so output is byte-identical at any setting.
 """
 
 from __future__ import annotations
@@ -78,15 +78,15 @@ def openblas_threads():
 def thread_policy():
     """Choose the worker count for one run of seed-indexed draws.
 
-    Holds OpenBLAS to one thread while more than one worker runs, restoring its
-    count on every exit. A nested entry is a no-op; outside any, one worker runs.
+    Holds OpenBLAS to one thread, restoring its count on every exit. A nested
+    entry is a no-op; outside any, one worker runs.
     """
     global _workers
     if _workers is not None:
         yield
         return
-    workers = _env_cap() or (_usable_cores() if openblas_threads() is not None else 1)
-    blas = openblas_threads() if workers > 1 else None
+    blas = openblas_threads()
+    workers = _env_cap() or (_usable_cores() if blas else 1)
     if blas:
         saved = blas[0]()
         blas[1](1)

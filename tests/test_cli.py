@@ -1096,7 +1096,9 @@ class TestMalformedPairFile:
 
 
 class TestEntryPoint:
-    def run_entry(self, *argv, launch=("-c", "from sketchguard.cli import entry; entry()")):
+    def run_entry(
+        self, *argv, launch=("-c", "import sys; from sketchguard.cli import main; sys.exit(main())")
+    ):
         import os
         import subprocess
         import sys

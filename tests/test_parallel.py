@@ -121,7 +121,7 @@ def test_gate_finds_the_openblas_numpy_names():
     assert openblas_threads() is not None
 
 
-@pytest.mark.parametrize("threads", ["", "2"])
+@pytest.mark.parametrize("threads", ["", "1", "2"])
 def test_blas_held_to_one_thread_from_data_build_and_restored(
     monkeypatch, tmp_path, blas_count, threads
 ):
@@ -137,9 +137,37 @@ def test_blas_held_to_one_thread_from_data_build_and_restored(
     argv = ["experiment", "--synth", "256,8,high", "--kind", "gaussian", "--t-grid", "8,16",
             "--oracle-reps", "10", "--reps", "4", "--out", str(tmp_path / "c.csv")]
     assert main(argv) == 0
-    blas, workers = seen[0]
-    assert blas == (1 if workers > 1 else 2)
+    assert seen == [(1, int(threads or usable_cores()))]  # one BLAS thread at any worker count
     assert blas_count() == 2
+
+
+def test_one_and_two_workers_build_the_same_bits_at_a_width_blas_threads_round(
+    monkeypatch, blas_count
+):
+    # d = 100: OpenBLAS sums the synth Gram differently on one and on two threads
+    real_synth, real_curve = cli.synth_matrix, cli.mc_quantile_curve
+    seen = []
+
+    def synth(profile):
+        matrix = real_synth(profile)
+        seen.append(matrix.array.tobytes())
+        return matrix
+
+    def curve(*args):
+        out = real_curve(*args)
+        seen.append(out.errors.tobytes())
+        return out
+
+    monkeypatch.setattr(cli, "synth_matrix", synth)
+    monkeypatch.setattr(cli, "mc_quantile_curve", curve)
+    argv = ["oracle", "--synth", "4096,100,high", "--kind", "srht", "--t-grid", "128,256",
+            "--reps", "10", "--seed", "1"]
+    for threads in ("1", "2", ""):
+        monkeypatch.setenv(ENV_VAR, threads)
+        assert main(argv) == 0
+    assert len(seen) == 6
+    assert len(set(seen[0::2])) == 1  # the synth matrix
+    assert len(set(seen[1::2])) == 1  # the oracle errors
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
