@@ -344,7 +344,13 @@ def _sketch_pair(args: argparse.Namespace) -> SketchPair:
     _require(args, "kind")
     matrix = _resolve_cli_matrix(args)
     t0 = args.t0 if args.t0 is not None else _default_t0(matrix.cols)
+    _warn_if_no_saving(t0, matrix.rows)
     return apply_spec(matrix, matrix, SketchSpec(args.kind, t0, args.seed))
+
+
+def _warn_if_no_saving(t: int, n: int) -> None:
+    if t >= n:
+        LOG.warning("t = %d is not below the %d source rows: sketching saves nothing", t, n)
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
@@ -397,8 +403,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1, got {value}")
         ratio = budget_check(args.boot_samples, t, args.t0, args.n, args.d)
-        if t >= args.n:
-            LOG.warning("t = %d is not below the %d source rows: sketching saves nothing", t, args.n)
+        _warn_if_no_saving(t, args.n)
         out += f"\nbudget_ratio = {ratio:.9g}"
     print(out)
     return EXIT_OK

@@ -44,7 +44,9 @@ class DenseMatrix:
     undefined over non-finite values.
     """
 
-    __slots__ = ("_a",)
+    # _norms is unset until _row_norms runs, and cannot go stale: no path writes an array once a
+    # DenseMatrix on it served norms (synth_matrix reuses mvt_rows' first). Racers store equal bits.
+    __slots__ = ("_a", "_norms")
 
     def __init__(self, values):
         a = np.array(values, dtype=np.float64, order="C")
@@ -69,6 +71,16 @@ class DenseMatrix:
     def array(self) -> np.ndarray:
         """Read-only 2-D view of the entries."""
         return self._a
+
+    @property
+    def _row_norms(self) -> np.ndarray:
+        """Read-only Euclidean norms of the rows, from one einsum pass on first use."""
+        if getattr(self, "_norms", None) is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = np.sqrt(np.einsum("ij,ij->i", self._a, self._a))
+            norms.flags.writeable = False
+            self._norms = norms
+        return self._norms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):

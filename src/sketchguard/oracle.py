@@ -35,10 +35,7 @@ from .booterr import empirical_quantile
 from .matcore import DenseMatrix, check_finite_result, check_same_rows, matmul_t
 from .parallel import run_indexed, thread_policy
 from .rng import derive_seed, substream
-from .sketch import (
-    SketchKind, SketchPair, SketchSpec, apply_spec, gaussian_sketch, length_sampling_probs,
-    row_sample_sketch,
-)
+from .sketch import SketchKind, SketchPair, SketchSpec, apply_spec, gaussian_sketch
 
 __all__ = ["QuantileCurve", "mc_quantile_curve"]
 
@@ -100,13 +97,10 @@ def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
     """Return ``draw(t, seed) -> SketchPair``, one sketch realization per call.
 
     For Gaussian sketches it is a ``GramSampler`` on R from one QR of the data,
-    which need not have full rank. Length sampling computes its probabilities
-    once, here. Every other kind is ``apply_spec`` itself.
+    which need not have full rank. Every other kind is ``apply_spec`` itself;
+    length sampling reads the row norms each matrix computed on its first draw.
     """
     kind = SketchKind(kind)
-    if kind is SketchKind.LENGTH_SAMPLE:
-        probs = length_sampling_probs(a, b)
-        return lambda t, seed: row_sample_sketch(a, b, probs, t, seed, kind=kind)
     if kind is not SketchKind.GAUSSIAN:
         return lambda t, seed: apply_spec(a, b, SketchSpec(kind, t, seed))
     check_same_rows(a, b)

@@ -131,17 +131,16 @@ def length_sampling_probs(a: DenseMatrix, b: DenseMatrix) -> np.ndarray:
     """Row-sampling probabilities proportional to paired row-norm products.
 
     p_i is the product of the Euclidean norms of row i of a and row i of b,
-    normalized to sum to 1. Each matrix's row norms take one einsum pass that
-    builds no n x d temporary; a shared matrix (b is a) takes one pass in all
-    and squares its norms, so it gives the same bits as a copy of itself.
+    normalized to sum to 1. Each matrix caches its row norms: one einsum pass
+    on its first call, none after. A shared matrix (b is a) squares its one
+    vector, so it gives the same bits as a copy of itself.
     Raises LengthSamplingError when all products are zero (no row is nonzero
     in both a and b), NonFiniteResultError when they overflow, or underflow to
     a zero sum although such a row exists.
     """
     check_same_rows(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        nrm = np.sqrt(np.einsum("ij,ij->i", a.array, a.array))
-        w = nrm * (nrm if b is a else np.sqrt(np.einsum("ij,ij->i", b.array, b.array)))
+        w = a._row_norms * b._row_norms
         total = float(check_finite_result(w.sum(), "the sum of length-sampling weights"))
     if total == 0.0:
         if (a.array.any(axis=1) & b.array.any(axis=1)).any():

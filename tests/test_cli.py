@@ -21,7 +21,7 @@ from sketchguard.cli import (
 )
 from sketchguard.datagen import RankMode, SynthProfile, synth_matrix
 from sketchguard.matcore import DenseMatrix
-from sketchguard.parallel import openblas_threads
+from sketchguard.parallel import ENV_VAR, openblas_threads
 from sketchguard.rng import derive_seed
 from sketchguard.sketch import SketchKind, SketchSpec, apply_spec
 
@@ -185,6 +185,38 @@ class TestSketchAndBootstrapCommands:
         assert code == 0
         assert out == f"q_hat(4) = 0.878032201\n{line}\nq_ext(16) = 0.439016101\n"
         want = "t_grid contains sizes below t0=4; extrapolation there runs backwards"
+        assert logged_warnings(caplog) == ([want] if warned else [])
+
+    @pytest.mark.parametrize(
+        "t0, line, warned",
+        [(300, "q_hat(300) = 0.094036518", True), (64, "q_hat(64) = 0.215158645", True),
+         (63, "q_hat(63) = 0.204955519", False)],
+        ids=["above", "at", "below"],
+    )
+    def test_bootstrap_t0_not_below_the_rows_warns_and_prints_the_same(
+        self, capsys, caplog, t0, line, warned
+    ):
+        code, out = run_cli(
+            capsys, "bootstrap", "--synth", "64,4,high", "--kind", "length",
+            "--t0", str(t0), "--seed", "1",
+        )
+        assert code == 0
+        assert out == line + "\n"
+        want = f"t = {t0} is not below the 64 source rows: sketching saves nothing"
+        assert logged_warnings(caplog) == ([want] if warned else [])
+
+    @pytest.mark.parametrize("t0, warned", [(64, True), (63, False)], ids=["at", "below"])
+    def test_sketch_t0_not_below_the_rows_warns_and_writes_the_same(
+        self, capsys, caplog, tmp_path, t0, warned
+    ):
+        f = tmp_path / "p.npz"
+        code, out = run_cli(
+            capsys, "sketch", "--synth", "64,4,high", "--kind", "uniform",
+            "--t0", str(t0), "--seed", "1", "--out", str(f),
+        )
+        assert code == 0
+        assert out == f"wrote {f}: kind=uniform t={t0} from 64x4\n"
+        want = f"t = {t0} is not below the 64 source rows: sketching saves nothing"
         assert logged_warnings(caplog) == ([want] if warned else [])
 
     def test_pair_roundtrip_preserves_bits(self, tmp_path):
@@ -433,10 +465,12 @@ class TestExperiment:
         assert len(qr_calls) == 1
 
     def test_length_experiment_weighs_the_rows_once(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "1")  # two workers' first draws may both weigh the rows
         experiment = self.small_experiment(kind=SketchKind.LENGTH_SAMPLE)
-        prob_calls = self.count_calls(monkeypatch, oracle, "length_sampling_probs")
+        einsum_calls = self.count_calls(monkeypatch, np, "einsum")
         experiment()
-        assert len(prob_calls) == 1
+        matrix = experiment.args[0]
+        assert sum(call[1] is matrix.array for call in einsum_calls) == 1
 
     def test_bad_oracle_reps_fail_before_the_data_is_factored(self, monkeypatch):
         experiment = self.small_experiment(oracle_reps=5)

@@ -51,6 +51,17 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             m.array[0, 0] = 2.0
 
+    def test_row_norms_are_the_einsum_bits_read_only_and_kept(self):
+        x = np.random.default_rng(3).standard_normal((200, 9))
+        for m in (DenseMatrix(x), DenseMatrix._wrap(x.copy())):
+            fresh = x.copy()
+            want = np.sqrt(np.einsum("ij,ij->i", fresh, fresh))
+            norms = m._row_norms
+            assert norms.tobytes() == want.tobytes()
+            assert m._row_norms is norms
+            with pytest.raises(ValueError):
+                norms[0] = 1.0
+
     def test_equality_is_bitwise(self):
         a = DenseMatrix([[1.0, 2.0]])
         assert a == DenseMatrix([[1.0, 2.0]])

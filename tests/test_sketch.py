@@ -1,6 +1,7 @@
 """Sketching operator tests: determinism, unbiasedness, and fast-path exactness."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 from sketchguard import sketch
 from sketchguard.matcore import DenseMatrix, NonFiniteResultError, matmul_t
 from sketchguard.oracle import pair_sampler
+from sketchguard.parallel import ENV_VAR, run_indexed, thread_cap, thread_policy
 from sketchguard.rng import substream
 from sketchguard.sketch import (
     LengthSamplingError,
@@ -90,6 +92,15 @@ class TestGaussianSketch:
                 np.testing.assert_allclose(pair.b_sketch.array, s @ b.array, rtol=1e-13)
 
 
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """A list that gains one entry per np.einsum call."""
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *x, **k: calls.append(1) or einsum(*x, **k))
+    return calls
+
+
 class TestLengthSamplingProbs:
     def test_single_nonzero_row(self):
         a = np.zeros((5, 2))
@@ -117,17 +128,50 @@ class TestLengthSamplingProbs:
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert abs(got.sum() - 1.0) <= 1e-12
 
-    def test_shared_matrix_takes_one_norm_pass_and_same_bits(self, monkeypatch):
+    def test_shared_matrix_takes_one_norm_pass_and_same_bits(self, einsum_calls):
         rng = np.random.default_rng(5)
         a = DenseMatrix(rng.standard_normal((300, 7)))
-        twin = DenseMatrix(a.array.copy())
-        want = length_sampling_probs(a, twin)
-        calls = []
-        einsum = np.einsum
-        monkeypatch.setattr(np, "einsum", lambda *x, **k: calls.append(1) or einsum(*x, **k))
+        # fresh copies, so a's own norms are first read by the shared call
+        want = length_sampling_probs(DenseMatrix(a.array.copy()), DenseMatrix(a.array.copy()))
+        einsum_calls.clear()
         got = length_sampling_probs(a, a)
-        assert len(calls) == 1
+        assert len(einsum_calls) == 1
         assert np.array_equal(got, want)
+        assert np.array_equal(length_sampling_probs(a, a), want)
+        assert len(einsum_calls) == 1
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-matrix", "two-matrix"])
+    def test_repeated_length_sketches_read_each_matrix_once(self, einsum_calls, shared):
+        rng = np.random.default_rng(8)
+        a = DenseMatrix(rng.standard_normal((400, 6)))
+        b = a if shared else DenseMatrix(rng.standard_normal((400, 4)))
+        specs = [SketchSpec("length", t, seed) for t, seed in ((16, 1), (16, 2), (40, 3))]
+        got = [apply_spec(a, b, spec) for spec in specs]
+        assert len(einsum_calls) == (1 if shared else 2)
+        for spec, pair in zip(specs, got):
+            fresh_a = DenseMatrix(a.array.copy())
+            fresh_b = fresh_a if shared else DenseMatrix(b.array.copy())
+            want = apply_spec(fresh_a, fresh_b, spec)
+            assert pair.a_sketch.array.tobytes() == want.a_sketch.array.tobytes()
+            assert pair.b_sketch.array.tobytes() == want.b_sketch.array.tobytes()
+
+    def test_racing_first_reads_of_the_norms_agree(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "2")
+        x = np.random.default_rng(9).standard_normal((4096, 16))
+        want = length_sampling_probs(DenseMatrix(x), DenseMatrix(x.copy()))
+        norms = DenseMatrix(x)._row_norms
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the helper thread cut into the first read
+        try:
+            with thread_policy():
+                assert thread_cap() == 2
+                for _ in range(5):
+                    m = DenseMatrix(x)
+                    got = run_indexed(lambda i: length_sampling_probs(m, m), 8)
+                    assert all(np.array_equal(probs, want) for probs in got)
+                    assert np.array_equal(m._row_norms, norms)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_zero_matrix_errors(self):
         z = DenseMatrix(np.zeros((4, 2)))
@@ -141,9 +185,11 @@ class TestLengthSamplingProbs:
     def test_underflowing_products_are_a_numerical_failure(self):
         # each row norm squares its entries, so 2^-560 underflows although no row is zero
         a = DenseMatrix(np.random.default_rng(6).standard_normal((512, 8)) * 2.0**-560)
-        for b in (a, DenseMatrix(a.array[:, ::-1].copy())):
-            with pytest.raises(NonFiniteResultError, match="underflowed"):
-                length_sampling_probs(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in (a, DenseMatrix(a.array[:, ::-1].copy()), a):  # a's norms cached after the first
+                with pytest.raises(NonFiniteResultError, match="underflowed"):
+                    length_sampling_probs(a, b)
 
 
 class TestRowSampleSketch:
@@ -515,8 +561,9 @@ class TestNonFiniteSketches:
         a = DenseMatrix(np.full((8, 1), 1e154))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteResultError, match="length-sampling weights"):
-                length_sampling_probs(a, a)
+            for _ in range(2):  # the norms' first read, then the cached ones
+                with pytest.raises(NonFiniteResultError, match="length-sampling weights"):
+                    length_sampling_probs(a, a)
 
 
 class TestSketchedProduct:
