@@ -28,7 +28,6 @@ import sys
 import zipfile
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +99,13 @@ def default_t_grid(d: int) -> tuple[int, ...]:
     return tuple(int(t) for t in grid)
 
 
-def _sorted_grid(ts: tuple[int, ...], t0: int) -> tuple[int, ...]:
-    if min(ts, default=t0) < t0:
-        LOG.warning("t_grid contains sizes below t0=%d; extrapolation there runs backwards", t0)
-    return tuple(sorted(set(ts)))
+def _check_sizes(t: int, n: int, grid: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """Warn of sizes whose answers mean little; return the grid sorted, without repeats."""
+    if t >= n:
+        LOG.warning("t = %d is not below the %d source rows: sketching saves nothing", t, n)
+    if min(grid, default=t) < t:
+        LOG.warning("t_grid contains sizes below t0=%d; extrapolation there runs backwards", t)
+    return tuple(sorted(set(grid)))
 
 
 @dataclass
@@ -137,10 +139,10 @@ def run_experiment(
     Draws ``oracle_reps`` sketch realizations, each serving every grid t, for
     the ground-truth quantile, then ``estimator_reps`` independent
     t0-sketches, bootstrapping each and extrapolating across the grid. Both
-    share one ``pair_sampler``, which factors the data once: Gaussian oracle
-    realizations are Wishart increments on its R, and Gaussian estimator reps
-    are ``gaussian_sketch`` on R, since the bootstrap needs real sketch rows,
-    whose law R keeps. The two sets of
+    read the R that ``matrix`` keeps from one QR: Gaussian oracle
+    realizations are Wishart increments on it, and Gaussian estimator reps
+    are ``gaussian_sketch`` on it through ``pair_sampler``, since the
+    bootstrap needs real sketch rows, whose law R keeps. The two sets of
     draws come from disjoint streams, so ``coverage`` at t is the share of
     all (estimator rep, oracle realization) pairs whose error at t the rep's
     extrapolated bound covers, with no further draws; calibrated, it is
@@ -159,19 +161,17 @@ def run_experiment(
     # Built before the oracle, so bad parameters fail before any work; each rep re-seeds boot.
     sketch = SketchSpec(kind, t0, seed)
     boot = BootstrapConfig(scheme, boot_samples, alpha, seed)
-    grid = _sorted_grid(t_grid if t_grid is not None else default_t_grid(d), t0)
+    grid = _check_sizes(t0, matrix.rows, t_grid if t_grid is not None else default_t_grid(d))
     LOG.info(
         "experiment: %dx%d matrix, kind=%s, t0=%d, grid=%s",
         matrix.rows, d, sketch.kind.value, t0, list(grid),
     )
     with thread_policy():
-        make_sampler = cache(partial(pair_sampler, matrix, matrix, sketch.kind))
         curve = mc_quantile_curve(
-            matrix, matrix, sketch.kind, grid, oracle_reps, alpha,
-            derive_seed(seed, _TAG_ORACLE), make_sampler=make_sampler,
+            matrix, matrix, sketch.kind, grid, oracle_reps, alpha, derive_seed(seed, _TAG_ORACLE)
         )
         LOG.info("oracle curve done (%d reps per t)", oracle_reps)
-        draw = make_sampler()
+        draw = pair_sampler(matrix, matrix, sketch.kind)
 
         def one_estimate(r: int) -> QuantileEstimate:
             pair = draw(t0, derive_seed(seed, _TAG_EST_SKETCH, r))
@@ -344,18 +344,13 @@ def _sketch_pair(args: argparse.Namespace) -> SketchPair:
     _require(args, "kind")
     matrix = _resolve_cli_matrix(args)
     t0 = args.t0 if args.t0 is not None else _default_t0(matrix.cols)
-    _warn_if_no_saving(t0, matrix.rows)
     return apply_spec(matrix, matrix, SketchSpec(args.kind, t0, args.seed))
-
-
-def _warn_if_no_saving(t: int, n: int) -> None:
-    if t >= n:
-        LOG.warning("t = %d is not below the %d source rows: sketching saves nothing", t, n)
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
     _require(args, "out")
     pair = _sketch_pair(args)
+    _check_sizes(pair.t, pair.source_rows)
     save_pair(args.out, pair)
     print(
         f"wrote {args.out}: kind={pair.spec.kind.value} t={pair.t} "
@@ -375,11 +370,12 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
         if given:
             raise ValueError(f"--pair takes the stored sketch; drop {', '.join(given)}")
     pair = load_pair(args.pair) if args.pair is not None else _sketch_pair(args)
+    grid = _check_sizes(pair.t, pair.source_rows, args.t_grid or ())
     cfg = BootstrapConfig(args.scheme, args.boot_samples, args.alpha, args.seed)
     est = bootstrap_quantile(pair, cfg)
     print(f"q_hat({est.t0}) = {est.value:.9g}")
-    if args.t_grid:
-        rows = [(t, extrapolate(est, t)) for t in _sorted_grid(args.t_grid, est.t0)]
+    if grid:
+        rows = [(t, extrapolate(est, t)) for t in grid]
         for t, value in rows:
             print(f"q_ext({t}) = {value:.9g}")
         if args.out is not None:
@@ -403,7 +399,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1, got {value}")
         ratio = budget_check(args.boot_samples, t, args.t0, args.n, args.d)
-        _warn_if_no_saving(t, args.n)
+        _check_sizes(t, args.n)
         out += f"\nbudget_ratio = {ratio:.9g}"
     print(out)
     return EXIT_OK

@@ -44,9 +44,10 @@ class DenseMatrix:
     undefined over non-finite values.
     """
 
-    # _norms is unset until _row_norms runs, and cannot go stale: no path writes an array once a
-    # DenseMatrix on it served norms (synth_matrix reuses mvt_rows' first). Racers store equal bits.
-    __slots__ = ("_a", "_norms")
+    # _norms and _r are unset until _row_norms and _gram_r first run, and cannot go stale: no path
+    # writes an array once a DenseMatrix on it served either (synth_matrix reuses mvt_rows' first).
+    # Racers store equal bits.
+    __slots__ = ("_a", "_norms", "_r")
 
     def __init__(self, values):
         a = np.array(values, dtype=np.float64, order="C")
@@ -81,6 +82,13 @@ class DenseMatrix:
             norms.flags.writeable = False
             self._norms = norms
         return self._norms
+
+    @property
+    def _gram_r(self) -> "DenseMatrix":
+        """R of the reduced QR ``A = Q R``, from one ``np.linalg.qr`` on first use."""
+        if getattr(self, "_r", None) is None:
+            self._r = DenseMatrix._wrap(np.linalg.qr(self._a, mode="r"))
+        return self._r
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):

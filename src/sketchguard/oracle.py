@@ -20,7 +20,9 @@ it draws W's Bartlett factor (Bartlett 1933; Odell & Feiveson 1966),
 k(k + 1)/2 numbers instead of Δ k. A draw costs O(t_max k m), whatever n.
 Gaussian realizations run in blocks of ``BLOCK`` through batched
 ``np.matmul``. The experiment's estimator reps need real sketch rows, so
-they draw ``gaussian_sketch`` on R through ``pair_sampler``, from the same QR.
+they draw ``gaussian_sketch`` on R through ``pair_sampler``. When B is A, R
+is the one the matrix keeps (``DenseMatrix._gram_r``), so the data are
+factored once however many curves and samplers read them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .booterr import empirical_quantile
 from .matcore import DenseMatrix, check_finite_result, check_same_rows, matmul_t
 from .parallel import run_indexed, thread_policy
 from .rng import derive_seed, substream
-from .sketch import SketchKind, SketchPair, SketchSpec, apply_spec, gaussian_sketch
+from .sketch import SketchKind, SketchSpec, apply_spec, gaussian_sketch
 
 __all__ = ["QuantileCurve", "mc_quantile_curve"]
 
@@ -76,37 +78,29 @@ class QuantileCurve:
         return self.errors.shape[0]
 
 
-@dataclass(frozen=True)
-class GramSampler:
-    """Gaussian draws in Gram space: R of ``[A B] = Q R``, split by columns.
-
-    Calling it is ``draw(t, seed)``: ``gaussian_sketch`` on R, with the data's
-    row count as ``source_rows``. A draw has the law of ``gaussian_sketch``'s
-    pair on the data, not its bits. ``r_b`` is ``r_a`` when B is A.
-    """
-
-    r_a: DenseMatrix
-    r_b: DenseMatrix
-    source_rows: int
-
-    def __call__(self, t: int, seed: int) -> SketchPair:
-        return replace(gaussian_sketch(self.r_a, self.r_b, t, seed), source_rows=self.source_rows)
+def _gram_factors(a: DenseMatrix, b: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
+    """R of ``[A B] = Q R``, split by columns: A's kept ``_gram_r``, twice, when B is A."""
+    if b is a:
+        return a._gram_r, a._gram_r
+    check_same_rows(a, b)
+    r = np.linalg.qr(np.hstack([a.array, b.array]), mode="r")
+    return DenseMatrix._wrap(r[:, : a.cols]), DenseMatrix._wrap(r[:, a.cols :])
 
 
 def pair_sampler(a: DenseMatrix, b: DenseMatrix, kind: SketchKind):
     """Return ``draw(t, seed) -> SketchPair``, one sketch realization per call.
 
-    For Gaussian sketches it is a ``GramSampler`` on R from one QR of the data,
-    which need not have full rank. Every other kind is ``apply_spec`` itself;
-    length sampling reads the row norms each matrix computed on its first draw.
+    For Gaussian sketches a draw is ``gaussian_sketch`` on the ``_gram_factors``
+    of the data, which need not have full rank, with the data's row count as
+    ``source_rows``: it has the law of ``gaussian_sketch``'s pair on the data,
+    not its bits. Every other kind is ``apply_spec`` itself; length sampling
+    reads the row norms each matrix computed on its first draw.
     """
     kind = SketchKind(kind)
     if kind is not SketchKind.GAUSSIAN:
         return lambda t, seed: apply_spec(a, b, SketchSpec(kind, t, seed))
-    check_same_rows(a, b)
-    r = np.linalg.qr(a.array if b is a else np.hstack([a.array, b.array]), mode="r")
-    r_a = DenseMatrix._wrap(r[:, : a.cols])
-    return GramSampler(r_a, r_a if b is a else DenseMatrix._wrap(r[:, a.cols :]), a.rows)
+    r_a, r_b = _gram_factors(a, b)
+    return lambda t, seed: replace(gaussian_sketch(r_a, r_b, t, seed), source_rows=a.rows)
 
 
 def gaussian_increments(r_a: np.ndarray, r_b: np.ndarray, steps, seeds):
@@ -188,8 +182,6 @@ def mc_quantile_curve(
     reps: int,
     alpha: float,
     seed: int,
-    *,
-    make_sampler=None,
 ) -> QuantileCurve:
     """Monte-Carlo estimate of the (1 - alpha) error quantile over a t grid.
 
@@ -199,10 +191,10 @@ def mc_quantile_curve(
     different t of one realization are correlated. Records per t the
     interpolated sample quantile of the realized errors, plus their 10% and
     90% percentile bands. The quantile value sits inside the bands only when
-    1-alpha lies between 0.1 and 0.9. ``make_sampler()``, once A^T B is
-    checked, gives the ``pair_sampler``, so a caller can share its factoring.
-    Runs under ``thread_policy``, Gaussian realizations in blocks of
-    ``BLOCK``; the errors do not depend on either.
+    1-alpha lies between 0.1 and 0.9. Gaussian realizations draw from the
+    ``_gram_factors``, computed once A^T B is checked. Runs under
+    ``thread_policy``, Gaussian realizations in blocks of ``BLOCK``; the
+    errors do not depend on either.
     """
     if reps < 10:
         raise ValueError(f"need at least 10 realizations per t, got {reps}")
@@ -216,12 +208,11 @@ def mc_quantile_curve(
     steps = [t - s for s, t in zip([0] + grid, grid)]
     with thread_policy():
         truth = matmul_t(a, b).array  # first, so an overflowing A^T B is what gets reported
-        draw = make_sampler() if make_sampler is not None else pair_sampler(a, b, kind)
         if SketchKind(kind) is SketchKind.GAUSSIAN:
-            increments = partial(gaussian_increments, draw.r_a.array, draw.r_b.array, steps)
-            block = BLOCK
+            r_a, r_b = _gram_factors(a, b)
+            increments, block = partial(gaussian_increments, r_a.array, r_b.array, steps), BLOCK
         else:  # a row-kind draw takes milliseconds: blocks would only leave workers idle
-            increments, block = partial(_row_increments, draw, steps), 1
+            increments, block = partial(_row_increments, pair_sampler(a, b, kind), steps), 1
 
         def errors(i: int) -> np.ndarray:
             seeds = [derive_seed(seed, r) for r in range(i * block, min(reps, (i + 1) * block))]

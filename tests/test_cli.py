@@ -205,9 +205,13 @@ class TestSketchAndBootstrapCommands:
         want = f"t = {t0} is not below the 64 source rows: sketching saves nothing"
         assert logged_warnings(caplog) == ([want] if warned else [])
 
-    @pytest.mark.parametrize("t0, warned", [(64, True), (63, False)], ids=["at", "below"])
+    @pytest.mark.parametrize(
+        "t0, line, warned",
+        [(64, "q_hat(64) = 0.667599407", True), (63, "q_hat(63) = 0.607037399", False)],
+        ids=["at", "below"],
+    )
     def test_sketch_t0_not_below_the_rows_warns_and_writes_the_same(
-        self, capsys, caplog, tmp_path, t0, warned
+        self, capsys, caplog, tmp_path, t0, line, warned
     ):
         f = tmp_path / "p.npz"
         code, out = run_cli(
@@ -217,6 +221,11 @@ class TestSketchAndBootstrapCommands:
         assert code == 0
         assert out == f"wrote {f}: kind=uniform t={t0} from 64x4\n"
         want = f"t = {t0} is not below the 64 source rows: sketching saves nothing"
+        assert logged_warnings(caplog) == ([want] if warned else [])
+        caplog.clear()  # the stored pair's own t and source_rows go through the same check
+        code, out = run_cli(capsys, "bootstrap", "--pair", str(f))
+        assert code == 0
+        assert out == line + "\n"
         assert logged_warnings(caplog) == ([want] if warned else [])
 
     def test_pair_roundtrip_preserves_bits(self, tmp_path):
@@ -428,6 +437,39 @@ class TestExperiment:
         self.small_experiment(t_grid=(4, 8, 16), oracle_reps=10, estimator_reps=2)()
         assert logged_warnings(caplog) == [
             "t_grid contains sizes below t0=8; extrapolation there runs backwards"
+        ]
+
+    @pytest.mark.parametrize(
+        "t0, estimates, warned",
+        [(64, ("0.23503952,0.233308733,0.237270964", "0.166198038,0.164974187,0.167775908"), True),
+         (63, ("0.181568516,0.165116771,0.202354931", "0.128388329,0.116755189,0.143086544"),
+          False)],
+        ids=["at", "below"],
+    )
+    def test_t0_not_below_the_rows_warns_and_writes_the_same(
+        self, capsys, caplog, tmp_path, t0, estimates, warned
+    ):
+        f = tmp_path / "e.csv"
+        code, out = run_cli(
+            capsys, "experiment", "--synth", "64,4,high", "--kind", "length", "--t0", str(t0),
+            "--t-grid", "64,128", "--oracle-reps", "10", "--reps", "3", "--seed", "1",
+            "--out", str(f),
+        )
+        assert code == 0
+        assert out == f"wrote {f}: 2 grid points, t0={t0}\n"
+        assert f.read_text() == "\n".join([
+            CSV_HEADER,
+            f"64,0.181556221,0.061561365,0.172955889,{estimates[0]}",
+            f"128,0.124290291,0.0302429499,0.12305273,{estimates[1]}",
+        ]) + "\n"
+        want = f"t = {t0} is not below the 64 source rows: sketching saves nothing"
+        assert logged_warnings(caplog) == ([want] if warned else [])
+
+    def test_library_call_logs_both_size_warnings(self, caplog):
+        self.small_experiment(t0=256, t_grid=(4, 8, 16), oracle_reps=10, estimator_reps=2)()
+        assert logged_warnings(caplog) == [
+            "t = 256 is not below the 256 source rows: sketching saves nothing",
+            "t_grid contains sizes below t0=256; extrapolation there runs backwards",
         ]
 
     def test_zero_estimator_reps_is_usage_error(self, tmp_path, capsys, caplog):

@@ -62,6 +62,15 @@ class TestDenseMatrix:
             with pytest.raises(ValueError):
                 norms[0] = 1.0
 
+    def test_gram_r_is_the_qr_bits_read_only_and_kept(self):
+        x = np.random.default_rng(4).standard_normal((200, 9))
+        for m in (DenseMatrix(x), DenseMatrix._wrap(x.copy())):
+            r = m._gram_r
+            assert r.array.tobytes() == np.ascontiguousarray(np.linalg.qr(x, mode="r")).tobytes()
+            assert m._gram_r is r
+            with pytest.raises(ValueError):
+                r.array[0, 0] = 1.0
+
     def test_equality_is_bitwise(self):
         a = DenseMatrix([[1.0, 2.0]])
         assert a == DenseMatrix([[1.0, 2.0]])

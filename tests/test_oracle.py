@@ -288,6 +288,41 @@ class TestGramSpaceSampler:
         assert len(rows) == 7 + 4 + 10  # blocks of 3 of 20 and of 10 oracle reps, 10 estimator reps
         assert max(rows) <= min(m.rows, m.cols)
 
+    @staticmethod
+    def qr_shapes(monkeypatch) -> list:
+        """Record the shape of every array np.linalg.qr factors from now on."""
+        shapes, real = [], np.linalg.qr
+
+        def recorded(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        return shapes
+
+    def test_curves_on_one_matrix_factor_it_once(self, monkeypatch):
+        m = synth_matrix(SynthProfile(256, 8, "high", 75))
+        shapes = self.qr_shapes(monkeypatch)
+        curves = [mc_quantile_curve(m, m, SketchKind.GAUSSIAN, [8, 32], 12, 0.1, 76)
+                  for _ in range(2)]
+        assert shapes == [(256, 8)]
+        copy = DenseMatrix(m.array)
+        fresh = mc_quantile_curve(copy, copy, SketchKind.GAUSSIAN, [8, 32], 12, 0.1, 76)
+        assert shapes == [(256, 8)] * 2  # a copy keeps no R of its own yet
+        for curve in curves:
+            assert curve.errors.tobytes() == fresh.errors.tobytes()
+
+    def test_a_pair_after_a_curve_of_its_a_factors_the_pair(self, monkeypatch):
+        a = synth_matrix(SynthProfile(256, 6, "high", 77))
+        b = synth_matrix(SynthProfile(256, 3, "high", 78))
+        shapes = self.qr_shapes(monkeypatch)
+        mc_quantile_curve(a, a, SketchKind.GAUSSIAN, [8, 32], 12, 0.1, 79)
+        paired = mc_quantile_curve(a, b, SketchKind.GAUSSIAN, [8, 32], 12, 0.1, 79)
+        fresh_a, fresh_b = DenseMatrix(a.array), DenseMatrix(b.array)
+        fresh = mc_quantile_curve(fresh_a, fresh_b, SketchKind.GAUSSIAN, [8, 32], 12, 0.1, 79)
+        assert shapes == [(256, 6), (256, 9), (256, 9)]  # [A B], never A's kept R
+        assert paired.errors.tobytes() == fresh.errors.tobytes()
+
     @pytest.mark.parametrize("case", ["b-is-a", "b-differs", "fewer-rows-than-columns"])
     def test_oracle_error_law_matches_materialized_sketches_at_every_grid_t(self, case):
         # steps of 2, 3, 11 and 24 rows: two of them exceed k and draw Bartlett factors
