@@ -30,14 +30,9 @@ from enum import Enum
 
 import numpy as np
 
-from .matcore import check_finite_result
+from .matcore import MAX_BLOCK_ENTRIES, check_finite_result
 from .rng import check_seed, substream
 from .sketch import SketchPair
-
-# bootstrap_quantile scores replicates in blocks; a block's largest
-# temporaries, its scaled copies of B~ and its products A~^T (.) B~, hold at
-# most this many entries, so peak memory does not grow with B.
-MAX_BOOT_BLOCK_ENTRIES = 1 << 17
 
 # Key of the weight stream under the bootstrap seed. The sketch kinds read
 # keys 0 and 1 under theirs, so a sketch and a bootstrap given the same seed
@@ -170,7 +165,7 @@ def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstima
 
     Replicate b's weights are row b of a (B, t) matrix read row-major from
     the one stream (cfg.seed, BOOT_STREAM_KEY). The rows are read and scored
-    in blocks whose temporaries hold at most MAX_BOOT_BLOCK_ENTRIES entries
+    in blocks whose temporaries hold at most MAX_BLOCK_ENTRIES entries
     (or one replicate's). The stream's draws do not depend on how they are split, so
     the samples do not depend on the block size, and runs are prefix-stable:
     increasing the replicate count reproduces the earlier samples. A sample
@@ -181,7 +176,7 @@ def bootstrap_quantile(pair: SketchPair, cfg: BootstrapConfig) -> QuantileEstima
     if t < 2:
         raise ValueError(f"the bootstrap needs a sketch of at least 2 rows, got {t}: "
                          "with one row every replicate's error is exactly 0")
-    block = max(1, MAX_BOOT_BLOCK_ENTRIES // (max(t, da) * db))
+    block = max(1, MAX_BLOCK_ENTRIES // (max(t, da) * db))
     gen = substream(cfg.seed, BOOT_STREAM_KEY)
     samples = np.empty(cfg.replicates)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,10 +209,8 @@ def plan_sketch_size(est: QuantileEstimate, epsilon: float) -> int:
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    try:
-        size = est.t0 * (est.value / epsilon) ** 2
-    except OverflowError:
-        size = math.inf
+    ratio = est.value / epsilon
+    size = est.t0 * (ratio * ratio)  # float * overflows to inf, where ** 2 would raise
     if not math.isfinite(size):
         raise ValueError(
             f"t0 * (value / epsilon)^2 is not finite for t0={est.t0}, "

@@ -17,8 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .booterr import MAX_BOOT_BLOCK_ENTRIES
-from .matcore import DenseMatrix, ZeroMatrixError
+from .matcore import MAX_BLOCK_ENTRIES, DenseMatrix, ZeroMatrixError
 from .rng import check_seed, derive_seed, substream
 
 __all__ = [
@@ -99,21 +98,22 @@ def mvt_rows(n: int, d: int, nu: float = 2.0, seed: int = 0) -> DenseMatrix:
     """
     if n < 1 or d < 1 or not 0 < nu < math.inf:
         raise ValueError(f"need n, d >= 1 and a positive, finite nu; got n={n}, d={d}, nu={nu}")
+    return DenseMatrix._wrap(_mvt_array(n, d, nu, seed))
+
+
+def _mvt_array(n: int, d: int, nu: float, seed: int) -> np.ndarray:
+    """mvt_rows' entries, in a fresh array that no DenseMatrix holds."""
     idx = np.arange(d)
     chol = np.linalg.cholesky(2.0 * 0.5 ** np.abs(idx[:, None] - idx[None, :]))
     g, rows = substream(seed), np.empty((n, d))
     _times_in_place(g.standard_normal(out=rows), chol.T)
     rows /= np.sqrt(g.chisquare(nu, n) / nu)[:, None]
-    return DenseMatrix._wrap(rows)
+    return rows
 
 
 def _times_in_place(x: np.ndarray, m: np.ndarray) -> None:
-    """x <- x m in row blocks of at most 2^17 entries, none small, so rows round as in one GEMM.
-
-    The cap is the bootstrap's own MAX_BOOT_BLOCK_ENTRIES: once a block this size is freed,
-    glibc keeps blocks this size on its heap, so a later bootstrap reuses warm pages.
-    """
-    for blk in np.array_split(x, -(-len(x) // max(1, MAX_BOOT_BLOCK_ENTRIES // x.shape[1]))):
+    """x <- x m in near-equal row blocks within MAX_BLOCK_ENTRIES, so rows round as in one GEMM."""
+    for blk in np.array_split(x, -(-len(x) // max(1, MAX_BLOCK_ENTRIES // x.shape[1]))):
         blk[...] = blk @ m
 
 
@@ -157,8 +157,7 @@ def synth_matrix(profile: SynthProfile) -> DenseMatrix:
     column rank with probability one.
     """
     sigma = singular_value_profile(profile.rank_mode, profile.d)
-    x = mvt_rows(profile.n, profile.d, 2.0, derive_seed(profile.seed, 0, 0)).array
-    x.flags.writeable = True  # a fresh array no one else holds: U and the result are built in it
+    x = _mvt_array(profile.n, profile.d, 2.0, derive_seed(profile.seed, 0, 0))  # U, then the result
     g = substream(derive_seed(profile.seed, 1, 0)).standard_normal((profile.d, profile.d))
     _positive_qr_times(x, sigma[:, None] * _signed_q(g).T)
     return DenseMatrix._wrap(_normalized(x, out=x))

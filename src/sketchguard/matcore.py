@@ -1,7 +1,8 @@
 """Dense-matrix foundation: storage, the exact product, and its error types.
 
 All scalars are float64. Matrices are immutable after construction and safe to
-share across threads.
+share across threads. The bootstrap, SRHT and synth kernels keep each blocked
+temporary within MAX_BLOCK_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ __all__ = [
     "NonFiniteResultError",
     "matmul_t",
 ]
+
+# Entry cap on the bootstrap's, the SRHT's and synth's blocks: peak memory does not grow with
+# B or n, and a freed 1 MB block stays on glibc's heap, so later blocks reuse its warm pages.
+MAX_BLOCK_ENTRIES = 1 << 17
 
 
 class ZeroMatrixError(ValueError):
@@ -45,8 +50,7 @@ class DenseMatrix:
     """
 
     # _norms and _r are unset until _row_norms and _gram_r first run, and cannot go stale: no path
-    # writes an array once a DenseMatrix on it served either (synth_matrix reuses mvt_rows' first).
-    # Racers store equal bits.
+    # writes an array once a DenseMatrix holds it. Racers store equal bits.
     __slots__ = ("_a", "_norms", "_r")
 
     def __init__(self, values):

@@ -354,7 +354,7 @@ class TestBootstrapQuantile:
         whole = bootstrap_quantile(pair, cfg)
         # blocks of one, three and seven replicates: each holds max(t, d) d' = 18 per replicate
         for cap in (1, 3 * 18, 7 * 18 + 17):
-            monkeypatch.setattr(booterr, "MAX_BOOT_BLOCK_ENTRIES", cap)
+            monkeypatch.setattr(booterr, "MAX_BLOCK_ENTRIES", cap)
             assert bootstrap_quantile(pair, cfg).samples == whole.samples
             prefix = bootstrap_quantile(pair, replace(cfg, replicates=23))
             assert prefix.samples == whole.samples[:23]
@@ -418,7 +418,7 @@ class TestOneMatrixPair:
             whole = bootstrap_quantile(pair, cfg)
             per_replicate = max(t, d) * d
             for cap in (1, 3 * per_replicate, 7 * per_replicate + 1):
-                monkeypatch.setattr(booterr, "MAX_BOOT_BLOCK_ENTRIES", cap)
+                monkeypatch.setattr(booterr, "MAX_BLOCK_ENTRIES", cap)
                 assert bootstrap_quantile(pair, cfg).samples == whole.samples, (t, d, cap)
             monkeypatch.undo()
 
@@ -475,7 +475,7 @@ class TestKernelBits:
     def test_samples_across_a_block_boundary_match_the_broadcast_kernel(self, scheme):
         for trial, pair in enumerate(kernel_pairs(50)):
             t, da, db = pair.t, pair.a_sketch.cols, pair.b_sketch.cols
-            block = max(1, booterr.MAX_BOOT_BLOCK_ENTRIES // (max(t, da) * db))
+            block = max(1, booterr.MAX_BLOCK_ENTRIES // (max(t, da) * db))
             cfg = BootstrapConfig(scheme, block + 3, 0.05, trial)
             w = booterr._weights(scheme, substream(cfg.seed, BOOT_STREAM_KEY), cfg.replicates, t)
             want = broadcast_multiplier_error(pair, w)
@@ -632,6 +632,17 @@ class TestPlanSketchSize:
     def test_non_finite_size_raises(self, value, epsilon):
         with pytest.raises(ValueError, match="not finite"):
             plan_sketch_size(self.est(10, value), epsilon)
+
+
+def test_planned_size_matches_the_power_form_at_practical_scales():
+    # the plan squares value / epsilon by one correctly rounded multiply; libm's pow, behind
+    # ** 2, rounds some squares the other way, but no planned t moves until t is near 1e15
+    rng = np.random.default_rng(61)
+    for _ in range(20_000):
+        t0, epsilon = int(rng.integers(2, 5001)), 10.0 ** rng.uniform(-4, 0)
+        est = QuantileEstimate(t0=t0, alpha=0.01, samples=(10.0 ** rng.uniform(-3, 3) * epsilon,))
+        want = max(1, math.ceil(t0 * (est.value / epsilon) ** 2))
+        assert plan_sketch_size(est, epsilon) == want, (t0, est.value, epsilon)
 
 
 class TestBudgetCheck:

@@ -1,5 +1,7 @@
 """Dense-matrix foundation tests."""
 
+import ast
+import inspect
 import math
 import warnings
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import frobenius_norm, linf_norm, spectral_norm, stable_rank
+from sketchguard import booterr, datagen, matcore, sketch
 from sketchguard.matcore import DenseMatrix, NonFiniteResultError, ZeroMatrixError, matmul_t
 
 
@@ -22,6 +25,16 @@ def triple_loop_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, j] * b[i, k]
             out[j, k] = acc
     return out
+
+
+def test_one_block_cap_serves_every_blocked_kernel():
+    assert all(m.MAX_BLOCK_ENTRIES is matcore.MAX_BLOCK_ENTRIES for m in (booterr, sketch, datagen))
+    imported = []  # every dotted name datagen imports, "from .x import y" read as "x.y"
+    for node in ast.walk(ast.parse(inspect.getsource(datagen))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            base = getattr(node, "module", None)
+            imported += [f"{base}.{a.name}" if base else a.name for a in node.names]
+    assert imported and not [name for name in imported if "booterr" in name.split(".")]
 
 
 class TestDenseMatrix:

@@ -442,7 +442,7 @@ class TestPrunedSRHT:
         # (at the least cap, one high part at a time); t from 1 to past n1, so high
         # parts keep several rows each
         if cap is not None:
-            monkeypatch.setattr(sketch, "MAX_SRHT_STAGE_ENTRIES", cap)
+            monkeypatch.setattr(sketch, "MAX_BLOCK_ENTRIES", cap)
         rng = np.random.default_rng(17)
         for i in range(16):
             n = 2 ** int(rng.integers(0, 10)) + 1 if i % 2 else int(rng.integers(2, 1000))
@@ -477,7 +477,7 @@ class TestPrunedSRHT:
 
         a = DenseMatrix(np.random.default_rng(3).standard_normal((1000, 6)))
         whole = srht_sketch(a, a, 200, 4).a_sketch.array
-        monkeypatch.setattr(sketch, "MAX_SRHT_STAGE_ENTRIES", 1)
+        monkeypatch.setattr(sketch, "MAX_BLOCK_ENTRIES", 1)
         one_high_part_at_a_time = srht_sketch(a, a, 200, 4).a_sketch.array
         np.testing.assert_allclose(one_high_part_at_a_time, whole, rtol=0, atol=1e-12)
         np.testing.assert_allclose(whole, butterfly_srht(a.array, 200, 4), rtol=0, atol=1e-12)
